@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,6 +32,21 @@ def rational_arg(text: str) -> Fraction:
         return params.as_rational(text)
     except params.ParamDomainError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def positive_arg(kind):
+    """Argument type: a finite positive value of kind (int or float)."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = 0
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected a positive {kind.__name__}: {text!r}")
+        return value
+
+    return parse
 
 
 def float_list_arg(text: str) -> tuple[float, ...]:
@@ -225,7 +241,7 @@ def cmd_kernel_scan(args) -> int:
         print(f"rejected ({exc})", file=sys.stderr)
         return 1
     verdict = params.admissible(pt)
-    k, l = pt.k, pt.l
+    l = pt.l
     violated_note = None
     if args.violate == "l":
         if args.family in ("S", "both"):
@@ -253,26 +269,25 @@ def cmd_kernel_scan(args) -> int:
     results = {}
     with timer() as tm:
         for fam in families:
+            # the masses do not depend on the sign: one scan serves both
+            spec = kernels.KernelSpec.from_point(pt, fam, signs[0], eps=float(eps))
+            if args.violate:
+                spec = replace(spec, l=float(l))
+            diag = kernels.kernel_sup(spec, radius, resolution=resolution)
+            completed = (
+                "none" if diag.completed is None
+                else ['%.4g' % v for v in diag.completed]
+            )
+            detail = (
+                f"{diag.verdict}  values="
+                f"{['%.4g' % v for v in diag.values]}  completed="
+                f"{completed}  tail_exponents="
+                f"{['%.4g' % a for a in diag.tail_exponents]}  ratios="
+                f"{['%.4f' % r for r in diag.ratios]}"
+            )
             for sign in signs:
-                spec = kernels.KernelSpec(
-                    family=fam, sign=sign, k=float(k), l=float(l), p=float(pt.p),
-                    b=float(pt.b), b1=float(pt.b1),
-                    c1=1.0 - float(pt.b1) - float(eps),
-                    c=1.0 - float(pt.b) - float(eps),
-                )
-                diag = kernels.kernel_sup(spec, radius, resolution=resolution)
                 results[f"{fam}/{sign}"] = diag
-                completed = (
-                    "none" if diag.completed is None
-                    else ['%.4g' % v for v in diag.completed]
-                )
-                lines.append(
-                    f"{fam}/{sign}: {diag.verdict}  values="
-                    f"{['%.4g' % v for v in diag.values]}  completed="
-                    f"{completed}  tail_exponents="
-                    f"{['%.4g' % a for a in diag.tail_exponents]}  ratios="
-                    f"{['%.4f' % r for r in diag.ratios]}"
-                )
+                lines.append(f"{fam}/{sign}: {detail}")
     payload = {
         "admissible_point": verdict.admissible,
         "violated_note": violated_note,
@@ -519,8 +534,15 @@ def _add_common(sub, required_rationals=(), optional_rationals=(), solver_opts=F
 _NEGATIVE_VALUE = re.compile(r"^-\d+(\.\d+)?(/\d+)?$")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line, exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zaklab",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -565,7 +587,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     s.add_argument("--family", choices=["S", "W", "both"], default="both")
     s.add_argument("--sign", choices=["plus", "minus", "both"], default="both")
     s.add_argument("--r-max", type=float, default=None)
-    s.add_argument("--resolution", type=float, default=None)
+    s.add_argument("--resolution", type=positive_arg(float), default=None)
     s.add_argument("--violate", choices=["l"], default=None,
                    help="probe with the l condition of the family broken")
     s.set_defaults(func=cmd_kernel_scan)
@@ -602,7 +624,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     )
     s.add_argument("--amplitude", type=float, default=1.0)
     s.add_argument("--deltas", type=float_list_arg, default=(1e-2, 1e-3, 1e-4))
-    s.add_argument("--seeds", type=int, default=5)
+    s.add_argument("--seeds", type=positive_arg(int), default=5)
     s.add_argument("--t-final", type=float, default=0.25)
     s.add_argument("--csv-out", help="write the ratio table as CSV")
     _add_common(s, required_rationals=("k", "l", "p"), solver_opts=True)
@@ -637,7 +659,12 @@ def main(argv=None) -> int:
             known = {act.dest for act in sub._actions}
             sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (params.ParamDomainError, grids.GridError, solver.SolverError,
+            kernels.KernelError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

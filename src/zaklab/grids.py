@@ -400,6 +400,8 @@ def load_grid(path) -> GridFunction:
     seed = None if seed_tok == "none" else int(seed_tok)
     provenance = lines[5].split(maxsplit=1)[1] if len(lines[5].split(maxsplit=1)) > 1 else ""
     count = int(np.prod(shape))
+    if len(lines) - 6 != count:
+        raise GridError(f"{path}: {len(lines) - 6} mode lines for {count} modes")
     vals = np.empty(count, dtype=np.complex128)
     for i, line in enumerate(lines[6:6 + count]):
         re_s, im_s = line.split()

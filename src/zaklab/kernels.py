@@ -70,12 +70,13 @@ class KernelError(ValueError):
 
 
 def worker_count() -> int:
+    """ZAKLAB_WORKERS, clamped to [1, the CPUs this process may use]."""
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
         n = int(raw)
     except ValueError:
         raise KernelError(f"{WORKERS_ENV} must be an integer (got {raw!r})")
-    return max(1, n)
+    return max(1, min(n, len(os.sched_getaffinity(0))))
 
 
 def complete_square_shift(

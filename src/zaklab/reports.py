@@ -44,10 +44,6 @@ class Report:
     timing_s: float
     version: str = __version__
 
-    def payload_json(self) -> str:
-        return json.dumps(jsonable(self.payload), sort_keys=True,
-                          separators=(",", ":"))
-
     def to_json(self) -> str:
         doc = {
             "command": self.command,

@@ -4,7 +4,9 @@ The coupled fields are the Schroedinger amplitude u and the two wave
 envelopes n_plus, n_minus with n = (n_plus + n_minus)/2 real.  Linear
 parts are applied exactly in Fourier space through an integrating-factor
 (Lawson) RK4 step; the quadratic products are formed in physical space
-under the 2/3 dealiasing rule.  The regularized reduction replaces the
+under the 2/3 dealiasing rule.  One core steps a batch of trajectories
+at once: evolve and the lifespan probe run a batch of one, the Lipschitz
+probe its whole ensemble.  The regularized reduction replaces the
 half-wave symbol |xi| by sqrt(xi^2 + 1), which removes the zero-frequency
 singularity of the inverse half-wave operator at the cost of a bounded
 extra linear coupling term.
@@ -24,14 +26,6 @@ class SolverError(ValueError):
     pass
 
 
-class BlowUpSignal(RuntimeError):
-    """Nonfinite field value encountered; carries the time of detection."""
-
-    def __init__(self, t: float):
-        super().__init__(f"nonfinite field at t = {t}")
-        self.t = t
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     n: int = 256
@@ -40,13 +34,14 @@ class SolverConfig:
     t_final: float = 0.5
     regularized: bool = True
     sample_stride: int = 25
-    dealias: bool = True
 
     def __post_init__(self):
         if self.n < 2 or (self.n & (self.n - 1)) != 0:
             raise SolverError(f"n must be a power of two (got {self.n})")
         if self.dt <= 0 or self.box <= 0 or self.t_final < 0:
             raise SolverError("dt and box must be positive, t_final nonnegative")
+        if self.sample_stride < 1:
+            raise SolverError(f"sample_stride must be positive (got {self.sample_stride})")
         steps = self.t_final / self.dt
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise SolverError(
@@ -128,99 +123,118 @@ def from_first_order(
     return n0, n1
 
 
-class _Stepper:
-    """Spectral state plus the fixed per-config operators."""
+class _Lawson:
+    """The fixed per-config operators of the Lawson RK4 step, applied to a
+    spectral batch y of shape (batch, 3, n) whose rows are u, n_plus and
+    n_minus.  The linear factors are (3, n) stacks broadcast over the batch;
+    every operation acts on each member alone, with the operand order of
+    the scalar scheme, so a member's result does not depend on the batch."""
 
     def __init__(self, cfg: SolverConfig):
-        self.cfg = cfg
-        n = cfg.n
-        self.xi = 2.0 * np.pi * np.fft.fftfreq(n, d=cfg.box / n)
-        self.omega = _wave_symbol(self.xi, cfg.regularized)
-        self.lin_u = -1j * self.xi * self.xi
-        self.lin_p = -1j * self.omega
-        self.lin_m = +1j * self.omega
-        dt = cfg.dt
-        self.e_u, self.e_p, self.e_m = (
-            np.exp(dt * sym) for sym in (self.lin_u, self.lin_p, self.lin_m)
-        )
-        self.h_u, self.h_p, self.h_m = (
-            np.exp(0.5 * dt * sym) for sym in (self.lin_u, self.lin_p, self.lin_m)
-        )
-        if cfg.dealias:
-            idx = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(np.int64)
-            self.mask = (np.abs(idx) <= n // 3).astype(np.float64)
-        else:
-            self.mask = np.ones(n)
+        n, dt = cfg.n, cfg.dt
+        xi = 2.0 * np.pi * np.fft.fftfreq(n, d=cfg.box / n)
+        omega = _wave_symbol(xi, cfg.regularized)
+        lin = np.stack([-1j * xi * xi, -1j * omega, +1j * omega])
+        self.dt = dt
+        self.e = np.exp(dt * lin)
+        self.h = np.exp(0.5 * dt * lin)
+        self.dt_h = dt * self.h
+        self.two_h = 2.0 * self.h
+        idx = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(np.int64)
+        # complex, so the 2/3 dealiasing products need no cast
+        self.mask = (np.abs(idx) <= n // 3).astype(np.complex128)
         if cfg.regularized:
-            self.src_sym = 1j * self.xi * self.xi / self.omega  # i A Op^{-1/2}
-            self.couple = 0.5j / self.omega                     # (i/2) Op^{-1/2}
+            self.src_sym = 1j * xi * xi / omega  # i A Op^{-1/2}
+            self.couple = 0.5j / omega           # (i/2) Op^{-1/2}
         else:
-            self.src_sym = 1j * self.omega
+            self.src_sym = 1j * omega
             self.couple = None
+        self.neg_src = -self.src_sym
+        self.bufs = ()
 
-    def nonlinear(self, u_hat, p_hat, m_hat):
+    def nonlinear(self, y, out):
+        """Write N(y) into out."""
         mask = self.mask
-        u = np.fft.ifft(mask * u_hat)
-        nsum_hat = p_hat + m_hat
+        u = np.fft.ifft(mask * y[:, 0])
+        nsum_hat = y[:, 1] + y[:, 2]
         nsum = np.fft.ifft(mask * nsum_hat)
-        rhs_u = np.fft.fft(-0.5j * nsum * u) * mask
+        np.multiply(np.fft.fft(-0.5j * nsum * u), mask, out=out[:, 0])
         sq_hat = np.fft.fft(u * np.conj(u)) * mask
-        rhs_p = -self.src_sym * sq_hat
-        rhs_m = +self.src_sym * sq_hat
+        np.multiply(self.neg_src, sq_hat, out=out[:, 1])
+        np.multiply(self.src_sym, sq_hat, out=out[:, 2])
         if self.couple is not None:
-            rhs_p = rhs_p + self.couple * nsum_hat
-            rhs_m = rhs_m - self.couple * nsum_hat
-        return rhs_u, rhs_p, rhs_m
+            pull = self.couple * nsum_hat
+            out[:, 1] += pull
+            out[:, 2] -= pull
 
     def step(self, y):
-        """One Lawson RK4 step for y' = L y + N(y)."""
-        dt = self.cfg.dt
-        e = (self.e_u, self.e_p, self.e_m)
-        h = (self.h_u, self.h_p, self.h_m)
-        k1 = self.nonlinear(*y)
-        y2 = tuple(hi * (yi + 0.5 * dt * ki) for hi, yi, ki in zip(h, y, k1))
-        k2 = self.nonlinear(*y2)
-        y3 = tuple(hi * yi + 0.5 * dt * ki for hi, yi, ki in zip(h, y, k2))
-        k3 = self.nonlinear(*y3)
-        y4 = tuple(ei * yi + dt * hi * ki for ei, yi, hi, ki in zip(e, y, h, k3))
-        k4 = self.nonlinear(*y4)
-        out = tuple(
-            ei * yi + dt / 6.0 * (ei * k1i + 2.0 * hi * (k2i + k3i)) + dt / 6.0 * k4i
-            for ei, hi, yi, k1i, k2i, k3i, k4i in zip(e, h, y, k1, k2, k3, k4)
-        )
-        return out
+        """One Lawson RK4 step for y' = L y + N(y), in place; the stage
+        buffers are kept across steps."""
+        if not self.bufs or self.bufs[0].shape != y.shape:
+            self.bufs = tuple(np.empty_like(y) for _ in range(5))
+        k1, k2, k3, k4, s = self.bufs
+        half, sixth = 0.5 * self.dt, self.dt / 6.0
+        self.nonlinear(y, k1)
+        np.multiply(half, k1, out=s)            # s = h (y + dt/2 k1)
+        s += y
+        np.multiply(self.h, s, out=s)
+        self.nonlinear(s, k2)
+        np.multiply(self.h, y, out=s)           # s = h y + dt/2 k2
+        np.multiply(half, k2, out=k4)
+        s += k4
+        self.nonlinear(s, k3)
+        np.multiply(self.e, y, out=y)           # y = e y;  s = y + dt h k3
+        np.multiply(self.dt_h, k3, out=k4)
+        np.add(y, k4, out=s)
+        self.nonlinear(s, k4)
+        # y += dt/6 (e k1 + 2 h (k2 + k3)) + dt/6 k4
+        k2 += k3
+        np.multiply(self.two_h, k2, out=k2)
+        np.multiply(self.e, k1, out=k1)
+        k1 += k2
+        np.multiply(sixth, k1, out=k1)
+        y += k1
+        np.multiply(sixth, k4, out=k4)
+        y += k4
 
 
-def stability_check(
-    u0: np.ndarray, n0: np.ndarray, n1: np.ndarray, cfg: SolverConfig
-) -> bool:
-    """Trial-step validation of the configured dt on the given data: one
-    step must stay finite and must not inflate the mass by more than a
-    factor 10 (an unstable step shows up immediately at this scale)."""
-    n_plus0, n_minus0 = to_first_order(n0, n1, cfg.box, cfg.regularized)
-    st = _Stepper(cfg)
-    y = tuple(
-        np.fft.fft(np.asarray(f, dtype=np.complex128))
-        for f in (u0, n_plus0, n_minus0)
+def _spectral(data, cfg: SolverConfig) -> np.ndarray:
+    """The spectral batch (batch, 3, n) of physical (u0, n0, n1) triples."""
+    fields = [
+        (u0, *to_first_order(n0, n1, cfg.box, cfg.regularized))
+        for u0, n0, n1 in data
+    ]
+    return np.fft.fft(
+        np.asarray(fields, dtype=np.complex128).reshape(len(fields), 3, cfg.n)
     )
-    mass0 = float(np.sum(np.abs(y[0]) ** 2))
-    y = st.step(y)
-    if not all(np.all(np.isfinite(v.view(np.float64))) for v in y):
-        return False
-    mass1 = float(np.sum(np.abs(y[0]) ** 2))
-    return mass1 <= 10.0 * max(mass0, 1e-300)
 
 
-def step(state: ZakharovState, cfg: SolverConfig) -> ZakharovState:
-    """Advance one dt; raises BlowUpSignal on nonfinite output."""
-    st = _Stepper(cfg)
-    y = tuple(np.fft.fft(f) for f in (state.u, state.n_plus, state.n_minus))
-    y = st.step(y)
-    fields = tuple(np.fft.ifft(v) for v in y)
-    t_next = state.t + cfg.dt
-    if not all(np.all(np.isfinite(f.view(np.float64))) for f in fields):
-        raise BlowUpSignal(t_next)
-    return ZakharovState(*fields, t=t_next, box=state.box)
+def _integrate(y: np.ndarray, cfg: SolverConfig, observe) -> list[float | None]:
+    """Advance the spectral batch y over cfg.steps Lawson RK4 steps.
+
+    observe(i, alive, y) sees step i, the indices of the members still
+    finite and their states, at step 0, every sample_stride steps and the
+    last step; a true return ends the run.  A member that turns nonfinite
+    leaves the batch at that step.  Returns each member's blow-up time
+    (the time of detection), None where it stayed finite.
+    """
+    lawson = _Lawson(cfg)
+    alive = np.arange(len(y))
+    blowup: list[float | None] = [None] * len(y)
+    if observe(0, alive, y):
+        return blowup
+    for i in range(1, cfg.steps + 1):
+        lawson.step(y)
+        finite = np.isfinite(y).all(axis=(1, 2))
+        if not finite.all():
+            for j in alive[~finite]:
+                blowup[j] = i * cfg.dt
+            alive, y = alive[finite], y[finite]
+            if not len(alive):
+                break
+        if (i % cfg.sample_stride == 0 or i == cfg.steps) and observe(i, alive, y):
+            break
+    return blowup
 
 
 @dataclass
@@ -237,64 +251,36 @@ class EvolutionTrace:
 
 
 def evolve(
-    u0: np.ndarray,
-    n0: np.ndarray,
-    n1: np.ndarray,
-    cfg: SolverConfig,
-    hat_norms: tuple[tuple[float, float], ...] = ((0.0, 2.0),),
-    keep_final_state: bool = True,
+    u0: np.ndarray, n0: np.ndarray, n1: np.ndarray, cfg: SolverConfig
 ) -> EvolutionTrace:
     """Integrate on [0, t_final], sampling diagnostics every sample_stride
     steps.  A blow-up truncates the trace and sets the flag instead of
     propagating."""
-    n_plus0, n_minus0 = to_first_order(n0, n1, cfg.box, cfg.regularized)
-    st = _Stepper(cfg)
-    y = tuple(
-        np.fft.fft(np.asarray(f, dtype=np.complex128))
-        for f in (u0, n_plus0, n_minus0)
-    )
     dx = cfg.box / cfg.n
-    times = [0.0]
-    rows = {f"hat_{k}_{p}": [] for k, p in hat_norms}
-    rows["mass"] = []
-    rows["sup_u"] = []
-    rows["n_imag"] = []
+    times: list[float] = []
+    rows: dict[str, list[float]] = {
+        "hat_0.0_2.0": [], "mass": [], "sup_u": [], "n_imag": [],
+    }
+    final: list[ZakharovState] = []
 
-    def record(y, t):
-        u = np.fft.ifft(y[0])
-        navg = (np.fft.ifft(y[1]) + np.fft.ifft(y[2])) / 2.0
+    def record(i, alive, y):
+        u, n_plus, n_minus = np.fft.ifft(y[0])
+        navg = (n_plus + n_minus) / 2.0
+        times.append(i * cfg.dt)
         rows["mass"].append(float(np.sqrt(np.sum(np.abs(u) ** 2) * dx)))
         rows["sup_u"].append(float(np.max(np.abs(u))))
         rows["n_imag"].append(float(np.max(np.abs(navg.imag))))
-        gf = from_samples(u, cfg.box)
-        for k, p in hat_norms:
-            rows[f"hat_{k}_{p}"].append(hat_norm(gf, k, p))
+        rows["hat_0.0_2.0"].append(hat_norm(from_samples(u, cfg.box), 0.0, 2.0))
+        if i == cfg.steps:
+            final.append(ZakharovState(u, n_plus, n_minus, t=i * cfg.dt, box=cfg.box))
 
-    record(y, 0.0)
-    truncated = False
-    blowup_time = None
-    t = 0.0
-    for i in range(1, cfg.steps + 1):
-        y = st.step(y)
-        t = i * cfg.dt
-        if not all(np.all(np.isfinite(v.view(np.float64))) for v in y):
-            truncated = True
-            blowup_time = t
-            break
-        if i % cfg.sample_stride == 0 or i == cfg.steps:
-            times.append(t)
-            record(y, t)
-
-    final = None
-    if keep_final_state and not truncated:
-        fields = tuple(np.fft.ifft(v) for v in y)
-        final = ZakharovState(*fields, t=t, box=cfg.box)
+    (blowup,) = _integrate(_spectral([(u0, n0, n1)], cfg), cfg, record)
     return EvolutionTrace(
         times=np.asarray(times),
         series={k: np.asarray(v) for k, v in rows.items()},
-        truncated=truncated,
-        blowup_time=blowup_time,
-        final_state=final,
+        truncated=blowup is not None,
+        blowup_time=blowup,
+        final_state=final[0] if final else None,
     )
 
 
@@ -319,24 +305,6 @@ class LipschitzReport:
         return max(self.stability.values()) if self.stability else math.inf
 
 
-def _full_evolution_u(u0, n0, n1, cfg, sample_stride):
-    """Evolve and return the sampled u fields (list of (t, u))."""
-    n_plus0, n_minus0 = to_first_order(n0, n1, cfg.box, cfg.regularized)
-    st = _Stepper(cfg)
-    y = tuple(
-        np.fft.fft(np.asarray(f, dtype=np.complex128))
-        for f in (u0, n_plus0, n_minus0)
-    )
-    samples = [(0.0, np.fft.ifft(y[0]))]
-    for i in range(1, cfg.steps + 1):
-        y = st.step(y)
-        if not all(np.all(np.isfinite(v.view(np.float64))) for v in y):
-            return samples, i * cfg.dt
-        if i % sample_stride == 0 or i == cfg.steps:
-            samples.append((i * cfg.dt, np.fft.ifft(y[0])))
-    return samples, None
-
-
 def lipschitz_probe(
     k: float,
     l: float,
@@ -353,11 +321,12 @@ def lipschitz_probe(
     own norms), and report sup over sampled times of
     |u - u'|_(k,p) / |u0 - u0'|_(k,p).  Stability of that ratio as delta
     shrinks is the observable; delta = 0 rows are reported as exact-match
-    sentinels rather than 0/0.
+    sentinels rather than 0/0.  Every seed's base and perturbed data are
+    integrated as one batch; a difference is sampled while both of its
+    trajectories are finite.
     """
-    ratios: dict[int, dict[float, float | None]] = {}
-    exact, truncs = [], []
-    stability: dict[int, float] = {}
+    data: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    plan = []  # (seed, base member, [(delta, member or None, denominator)])
     for seed in seeds:
         base_u = amplitude * unit_rough_data(
             RoughDataSpec(k=k, p=p, n=cfg.n, seed=seed, box=cfg.box)
@@ -380,30 +349,45 @@ def lipschitz_probe(
         ).to_samples().real
         w_n1 = w_n1 - w_n1.mean()
 
-        base_samples, base_cut = _full_evolution_u(base_u, n0, n1, cfg, cfg.sample_stride)
-        if base_cut is not None:
-            truncs.append((seed, base_cut))
-        ratios[seed] = {}
-        finite = []
+        base = len(data)
+        data.append((base_u, n0, n1))
+        row = []
         for delta in deltas:
             if delta == 0.0:
+                row.append((delta, None, None))
+                continue
+            denom = hat_norm(from_samples(delta * w_u, cfg.box), k, p)
+            row.append((delta, len(data), denom))
+            data.append((base_u + delta * w_u, n0 + delta * w_n0, n1 + delta * w_n1))
+        plan.append((seed, base, row))
+    sups = [0.0] * len(data)
+
+    def compare(i, alive, y):
+        u = dict(zip(alive.tolist(), np.fft.ifft(y[:, 0])))
+        for _, base, row in plan:
+            for _, j, denom in row:
+                if j is not None and base in u and j in u:
+                    diff = hat_norm(from_samples(u[j] - u[base], cfg.box), k, p)
+                    sups[j] = max(sups[j], diff / denom)
+
+    blowup = _integrate(_spectral(data, cfg), cfg, compare)
+    ratios: dict[int, dict[float, float | None]] = {}
+    exact, truncs = [], []
+    stability: dict[int, float] = {}
+    for seed, base, row in plan:
+        if blowup[base] is not None:
+            truncs.append((seed, blowup[base]))
+        ratios[seed] = {}
+        finite = []
+        for delta, j, _ in row:
+            if j is None:
                 ratios[seed][delta] = None
                 exact.append((seed, delta))
                 continue
-            pert_samples, cut = _full_evolution_u(
-                base_u + delta * w_u, n0 + delta * w_n0, n1 + delta * w_n1,
-                cfg, cfg.sample_stride,
-            )
-            if cut is not None:
-                truncs.append((seed, cut))
-            denom = hat_norm(from_samples(delta * w_u, cfg.box), k, p)
-            m = min(len(base_samples), len(pert_samples))
-            sup = 0.0
-            for (t0, ub), (t1, up) in zip(base_samples[:m], pert_samples[:m]):
-                diff = hat_norm(from_samples(up - ub, cfg.box), k, p)
-                sup = max(sup, diff / denom)
-            ratios[seed][delta] = sup
-            finite.append(sup)
+            if blowup[j] is not None:
+                truncs.append((seed, blowup[j]))
+            ratios[seed][delta] = sups[j]
+            finite.append(sups[j])
         if finite:
             stability[seed] = max(finite) / min(finite) if min(finite) > 0 else math.inf
     return LipschitzReport(
@@ -424,33 +408,6 @@ class LifespanReport:
     reference_slope: float
     inconclusive: bool
     monitored: str = "sup_u"
-
-
-def _departure_time(u0, n0, n1, cfg, factor=2.0):
-    """First time sup|u| reaches factor * its initial value, by linear
-    interpolation between steps; None if it never departs in budget."""
-    n_plus0, n_minus0 = to_first_order(n0, n1, cfg.box, cfg.regularized)
-    st = _Stepper(cfg)
-    y = tuple(
-        np.fft.fft(np.asarray(f, dtype=np.complex128))
-        for f in (u0, n_plus0, n_minus0)
-    )
-    q0 = float(np.max(np.abs(np.fft.ifft(y[0]))))
-    target = factor * q0
-    prev_t, prev_q = 0.0, q0
-    for i in range(1, cfg.steps + 1):
-        y = st.step(y)
-        t = i * cfg.dt
-        if not all(np.all(np.isfinite(v.view(np.float64))) for v in y):
-            return t  # blow-up counts as departure at detection time
-        q = float(np.max(np.abs(np.fft.ifft(y[0]))))
-        if q >= target:
-            if q == prev_q:
-                return t
-            frac = (target - prev_q) / (q - prev_q)
-            return prev_t + frac * (t - prev_t)
-        prev_t, prev_q = t, q
-    return None
 
 
 def lifespan_probe(
@@ -488,9 +445,21 @@ def lifespan_probe(
         run_cfg = replace(
             cfg, box=u0.box[0] / mu, dt=dt, t_final=budget, sample_stride=1
         )
-        t_dep = _departure_time(
-            du.to_samples(), dn0.to_samples().real, dn1.to_samples().real, run_cfg
-        )
+        data = (du.to_samples(), dn0.to_samples().real, dn1.to_samples().real)
+        ts, qs = [], []
+
+        def watch(i, alive, y):
+            ts.append(i * run_cfg.dt)
+            qs.append(float(np.max(np.abs(np.fft.ifft(y[0, 0])))))
+            return i > 0 and qs[-1] >= 2.0 * qs[0]
+
+        (t_dep,) = _integrate(_spectral([data], run_cfg), run_cfg, watch)
+        if t_dep is None and len(qs) > 1 and qs[-1] >= 2.0 * qs[0]:
+            # linear interpolation of the crossing between the last two steps
+            target, q, prev_q = 2.0 * qs[0], qs[-1], qs[-2]
+            t_dep = ts[-1] if q == prev_q else (
+                ts[-2] + (target - prev_q) / (q - prev_q) * (ts[-1] - ts[-2])
+            )
         times[mu] = t_dep
         if base_T is None:
             if t_dep is None:

@@ -117,6 +117,22 @@ class TestKernelScanCommand:
                          "--tier", "quick"])
         assert code == 1
 
+    def test_one_scan_per_family_serves_both_signs(self, capsys, monkeypatch):
+        calls = []
+        real = cli.kernels.kernel_sup
+
+        def counted(spec, *args, **kwargs):
+            calls.append(spec.family)
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(cli.kernels, "kernel_sup", counted)
+        code, doc = run_json(capsys, "kernel-scan", "--k", "0", "--l", "-1/2",
+                             "--p", "2", "--r-max", "12", "--resolution", "0.5")
+        assert calls == ["S", "W"]
+        cells = doc["payload"]["diagnostics"]
+        assert sorted(cells) == ["S/minus", "S/plus", "W/minus", "W/plus"]
+        assert cells["S/plus"] == cells["S/minus"]
+
 
 class TestTrilinearCommand:
     def test_no_violations_exit_zero(self, capsys):
@@ -179,6 +195,27 @@ class TestLifespanCommand:
         assert code == 0
         assert doc["payload"]["reference_slope"] == -2.0
         assert doc["payload"]["slope"] is not None
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "100"],
+    ["simulate", "--dt", "0"],
+    ["simulate", "--sample-stride", "0"],
+    ["kernel-scan", "--k", "0", "--l", "-1/2", "--p", "2", "--tier", "quick",
+     "--resolution", "0"],
+    ["kernel-scan", "--k", "0", "--l", "-1/2", "--p", "2", "--tier", "quick",
+     "--resolution", "-0.5"],
+    ["lipschitz", "--k", "0", "--l", "-1/2", "--p", "2", "--tier", "quick",
+     "--seeds", "0"],
+])
+def test_bad_input_is_one_stderr_line_and_exit_2(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 class TestConfigFile:

@@ -342,6 +342,14 @@ class TestSerialization:
         with pytest.raises(G.GridError, match="bad magic"):
             G.load_grid(path)
 
+    def test_rejects_truncated_snapshot(self, tmp_path):
+        path = tmp_path / "grid.txt"
+        G.save_grid(G.rough_data(G.RoughDataSpec(k=0.0, p=2.0, n=16, seed=3)), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(G.GridError, match="16 modes"):
+            G.load_grid(path)
+
     def test_2d_round_trip(self, tmp_path):
         f = G.from_samples(RNG.normal(size=(16, 8)), (4.0, 2.0))
         path = tmp_path / "grid2d.txt"

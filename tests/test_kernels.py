@@ -394,6 +394,10 @@ class TestKernelSup:
                 os.environ[K.WORKERS_ENV] = old
         assert c.values == a.values
 
+    def test_worker_count_clamped_to_usable_cpus(self, monkeypatch):
+        monkeypatch.setenv(K.WORKERS_ENV, "100000")
+        assert K.worker_count() == len(os.sched_getaffinity(0))
+
     def test_diagnostic_invariants_enforced(self):
         with pytest.raises(K.KernelError):
             K.SaturationDiagnostic((1.0, 1.0), (1.0, 2.0), (2.0,), "saturating")
