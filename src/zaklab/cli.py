@@ -4,7 +4,8 @@ Subcommands: admissible, window, optimize, scaling, kernel-scan,
 trilinear-test, simulate, lipschitz, lifespan.  Parameter-region commands
 take exact rational literals ("-1/12"); decimals are rejected there so
 exactness cannot silently degrade.  A config file (key=value lines or a
-JSON object) may supply defaults; explicit flags override it.  Kernel
+JSON object) may supply flags, required ones included; explicit flags
+override it.  Kernel
 scans honor the ZAKLAB_WORKERS environment variable for data-parallel
 outer grids.  Reports go to stdout (--json) and/or JSON-lines files
 (--jsonl-out); series data is emitted as plain CSV (--csv-out).
@@ -49,11 +50,24 @@ def positive_arg(kind):
     return parse
 
 
+def finite_arg(text: str) -> float:
+    """Argument type: a finite float (no nan, no inf)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite float: {text!r}")
+    return value
+
+
 def float_list_arg(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(tok) for tok in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats: {text!r}")
+        return tuple(finite_arg(tok) for tok in text.split(","))
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated finite floats: {text!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -88,6 +102,24 @@ def _load_config_file(path: str) -> dict:
         key, val = line.split("=", 1)
         out[key.strip().replace("-", "_")] = val.strip()
     return out
+
+
+def _config_tokens(config: dict, flags: set[str]) -> list[str]:
+    """The config entries whose options are among flags, as option tokens
+    that are parsed like typed ones: a true JSON value is a bare switch,
+    false and null are left out, and a list is joined with commas."""
+    tokens = []
+    for key, val in config.items():
+        flag = "--" + key.replace("_", "-")
+        if flag not in flags:
+            continue
+        if val is True:
+            tokens.append(flag)
+        elif val is not False and val is not None:
+            if isinstance(val, list):
+                val = ",".join(str(v) for v in val)
+            tokens += [flag, str(val)]
+    return tokens
 
 
 def _emit(args, report: Report, human_lines: list[str]) -> None:
@@ -525,8 +557,8 @@ def _add_common(sub, required_rationals=(), optional_rationals=(), solver_opts=F
         sub.add_argument(f"--{name}", type=rational_arg, default=None)
     if solver_opts:
         sub.add_argument("--n", type=int, default=None)
-        sub.add_argument("--box", type=float, default=32.0)
-        sub.add_argument("--dt", type=float, default=None)
+        sub.add_argument("--box", type=finite_arg, default=32.0)
+        sub.add_argument("--dt", type=finite_arg, default=None)
         sub.add_argument("--sample-stride", type=int, default=25)
 
 
@@ -535,7 +567,17 @@ _NEGATIVE_VALUE = re.compile(r"^-\d+(\.\d+)?(/\d+)?$")
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one stderr line, exit 2."""
+    """Reports a usage error as one stderr line, exit 2, and records the
+    option strings it accepts in flags."""
+
+    def __init__(self, *args, **kwargs):
+        self.flags: set[str] = set()
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags.update(action.option_strings)
+        return action
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
@@ -586,7 +628,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     s.add_argument("--eps", type=rational_arg, default=Fraction(1, 100))
     s.add_argument("--family", choices=["S", "W", "both"], default="both")
     s.add_argument("--sign", choices=["plus", "minus", "both"], default="both")
-    s.add_argument("--r-max", type=float, default=None)
+    s.add_argument("--r-max", type=positive_arg(float), default=None)
     s.add_argument("--resolution", type=positive_arg(float), default=None)
     s.add_argument("--violate", choices=["l"], default=None,
                    help="probe with the l condition of the family broken")
@@ -610,8 +652,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "simulate", help="pseudospectral evolution with diagnostics"
     )
     s.add_argument("--preset", choices=["plane-wave", "gaussian"], default="plane-wave")
-    s.add_argument("--amplitude", type=float, default=1.0)
-    s.add_argument("--t-final", type=float, default=1.0)
+    s.add_argument("--amplitude", type=finite_arg, default=1.0)
+    s.add_argument("--t-final", type=finite_arg, default=1.0)
     s.add_argument("--unregularized", action="store_true")
     s.add_argument("--csv-out", help="write the sampled series as CSV")
     s.add_argument("--trace-out", help="write one JSON line per sample")
@@ -622,10 +664,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     s = submap["lipschitz"] = subs.add_parser(
         "lipschitz", help="flow-map difference-quotient probe"
     )
-    s.add_argument("--amplitude", type=float, default=1.0)
+    s.add_argument("--amplitude", type=finite_arg, default=1.0)
     s.add_argument("--deltas", type=float_list_arg, default=(1e-2, 1e-3, 1e-4))
     s.add_argument("--seeds", type=positive_arg(int), default=5)
-    s.add_argument("--t-final", type=float, default=0.25)
+    s.add_argument("--t-final", type=finite_arg, default=0.25)
     s.add_argument("--csv-out", help="write the ratio table as CSV")
     _add_common(s, required_rationals=("k", "l", "p"), solver_opts=True)
     s.set_defaults(func=cmd_lipschitz)
@@ -634,8 +676,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "lifespan", help="departure-time scaling under dilation"
     )
     s.add_argument("--mu", type=float_list_arg, default=(1.0, 2.0, 4.0))
-    s.add_argument("--amplitude", type=float, default=12.0)
-    s.add_argument("--t-final", type=float, default=0.5)
+    s.add_argument("--amplitude", type=finite_arg, default=12.0)
+    s.add_argument("--t-final", type=finite_arg, default=0.5)
     s.add_argument("--csv-out", help="write the departure-time table as CSV")
     _add_common(s, solver_opts=True)
     s.set_defaults(func=cmd_lifespan)
@@ -652,12 +694,18 @@ def main(argv=None) -> int:
         idx = argv.index("--config")
         if idx + 1 >= len(argv):
             parser.error("--config needs a path")
-        defaults = _load_config_file(argv[idx + 1])
-        command = next((a for a in argv if not a.startswith("-") and a in submap), None)
+        try:
+            config = _load_config_file(argv[idx + 1])
+        except (OSError, ValueError) as exc:
+            parser.error(f"--config: {exc}")
+        # right after the subcommand, so that explicit flags come later and
+        # win; keys the subcommand does not take are left out
+        command = next(
+            (i for i, a in enumerate(argv) if a in submap and i != idx + 1), None
+        )
         if command is not None:
-            sub = submap[command]
-            known = {act.dest for act in sub._actions}
-            sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
+            flags = submap[argv[command]].flags
+            argv[command + 1:command + 1] = _config_tokens(config, flags)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

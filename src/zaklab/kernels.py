@@ -37,7 +37,10 @@ integrates sigma2 over the real line through a complete table (a lattice
 convolution near the origin, a closed form beyond) and adds the xi2
 remainder beyond R in closed form (tail_exponents, tail_mass).  Domains
 are nested across the radius ladder and the table depends only on its
-argument, so the xi2-truncated masses are monotone in the radius.
+argument, so the xi2-truncated masses are monotone in the radius.  The
+xi2 nodes and amplitudes depend on the outer xi alone, not on sigma, so
+the mass functions take an array of sigma values and kernel_sup's work
+items are per (xi, radius).
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -314,103 +318,131 @@ def _conv_table(
     return _ConvTable(amin, h, vals)
 
 
+def _floored_trapezoid(vals: np.ndarray, x: np.ndarray) -> float:
+    """Trapezoid integral of vals over x, with values below TINY_FLOOR
+    zeroed in place first."""
+    vals[vals < TINY_FLOOR] = 0.0
+    return float(np.trapezoid(vals, x))
+
+
+def _one_or_many(masses: list[float], outer2) -> float | np.ndarray:
+    """A float for a scalar outer2, else one mass per entry."""
+    return masses[0] if np.ndim(outer2) == 0 else np.array(masses)
+
+
 def schrodinger_product_mass(
     spec: KernelSpec,
     xi1: float,
-    sigma1: float,
+    sigma1,
     R: float,
     resolution: float = 0.25,
     table: _ConvTable | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Truncated kernel mass of the Schroedinger-product family at the
     outer pair (xi1, sigma1), integrated over [-R, R]^2 in (xi2, sigma2).
     A table passed in replaces the sigma2 integral: kernel_sup passes the
-    complete one, which integrates sigma2 over the real line."""
+    complete one, which integrates sigma2 over the real line.
+
+    sigma1 may be an array: the xi2 nodes and amplitudes depend on xi1
+    only, so they are built once and each sigma1 costs one table lookup
+    and one trapezoid per node set.  The result is then one mass per
+    sigma1, each bitwise equal to the scalar call with the same table."""
     if spec.family != FAMILY_SCHRODINGER_PRODUCT:
         raise KernelError("spec.family must be 'S' here")
     if not R > 0:
         raise KernelError(f"truncation radius must be positive (got {R})")
     h = resolution
     p = spec.p
-    base = sigma1 - xi1 * xi1
+    sigmas = np.atleast_1d(np.asarray(sigma1, dtype=float)).tolist()
+    bases = [s - xi1 * xi1 for s in sigmas]
     if table is None:
-        table = _conv_table(spec.b1 * p, spec.b * p, R, h, base, base + R * R)
+        table = _conv_table(spec.b1 * p, spec.b * p, R, h,
+                            min(bases), max(bases) + R * R)
 
     w0 = min(1.0, R)
     xi2 = np.linspace(-w0, w0, max(3, int(round(2.0 * w0 / h)) + 1))
-    amp = _bracket_pow(xi1 - xi2, -spec.l * p) * _bracket_pow(xi2, -spec.k * p)
-    vals = amp * table(base + xi2 * xi2)
-    vals[vals < TINY_FLOOR] = 0.0
-    total = float(np.trapezoid(vals, xi2))
-
+    xi2_sq = xi2 * xi2
+    amp_in = _bracket_pow(xi1 - xi2, -spec.l * p) * _bracket_pow(xi2, -spec.k * p)
     if R > 1.0:
         y = np.linspace(1.0, R * R, int(round((R * R - 1.0) / h)) + 1)
         root = np.sqrt(y)
-        amp = (
+        amp_out = (
             _bracket_pow(xi1 - root, -spec.l * p)
             + _bracket_pow(xi1 + root, -spec.l * p)
         ) * _bracket_pow(root, -spec.k * p)
-        vals = amp * table(base + y) / (2.0 * root)
-        vals[vals < TINY_FLOOR] = 0.0
-        total += float(np.trapezoid(vals, y))
+        two_root = 2.0 * root
 
-    pref = _bracket_pow(np.asarray(sigma1), -spec.c1 * p) * _bracket_pow(
-        np.asarray(xi1), spec.k * p
-    )
-    value = float(pref) * total
-    if not math.isfinite(value):
-        raise KernelError(
-            f"nonfinite truncated mass at (xi1, sigma1) = ({xi1}, {sigma1})"
+    masses = []
+    for s, base in zip(sigmas, bases):
+        total = _floored_trapezoid(amp_in * table(base + xi2_sq), xi2)
+        if R > 1.0:
+            total += _floored_trapezoid(amp_out * table(base + y) / two_root, y)
+        pref = _bracket_pow(np.asarray(s), -spec.c1 * p) * _bracket_pow(
+            np.asarray(xi1), spec.k * p
         )
-    return value
+        value = float(pref) * total
+        if not math.isfinite(value):
+            raise KernelError(
+                f"nonfinite truncated mass at (xi1, sigma1) = ({xi1}, {s})"
+            )
+        masses.append(value)
+    return _one_or_many(masses, sigma1)
 
 
 def wave_source_mass(
     spec: KernelSpec,
     xi: float,
-    sigma: float,
+    sigma,
     R: float,
     resolution: float = 0.25,
     table: _ConvTable | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Truncated kernel mass of the wave-source family at the outer pair
     (xi, sigma), integrated over [-R, R]^2 in (xi2, sigma2) unless a table
-    replaces the sigma2 integral, as in schrodinger_product_mass.  The
-    |xi|^p prefactor kills xi = 0 outright."""
+    replaces the sigma2 integral, as in schrodinger_product_mass, which
+    also describes an array sigma.  The |xi|^p prefactor kills xi = 0
+    outright."""
     if spec.family != FAMILY_WAVE_SOURCE:
         raise KernelError("spec.family must be 'W' here")
     if not R > 0:
         raise KernelError(f"truncation radius must be positive (got {R})")
+    sigmas = np.atleast_1d(np.asarray(sigma, dtype=float)).tolist()
     if xi == 0.0:
-        return 0.0
+        return _one_or_many([0.0] * len(sigmas), sigma)
     h = resolution
     p = spec.p
     axi = abs(xi)
     U = 2.0 * axi * R
-    centre = sigma + xi * xi
+    centres = [s + xi * xi for s in sigmas]
     if table is None:
-        table = _conv_table(spec.b1 * p, spec.b1 * p, R, h, centre - U, centre + U)
+        table = _conv_table(spec.b1 * p, spec.b1 * p, R, h,
+                            min(centres) - U, max(centres) + U)
     u = np.linspace(-U, U, int(round(2.0 * U / h)) + 1)
     xi2 = u / (2.0 * xi)
     amp = _bracket_pow(xi + xi2, -spec.k * p) * _bracket_pow(xi2, -spec.k * p)
-    vals = amp * table(centre + u)
-    vals[vals < TINY_FLOOR] = 0.0
-    inner = float(np.trapezoid(vals, u)) / (2.0 * axi)
-    pref = (
-        _bracket_pow(np.asarray(sigma), -spec.c * p)
-        * _bracket_pow(np.asarray(xi), spec.l * p)
-        * axi**p
-    )
-    value = float(pref) * inner
-    if not math.isfinite(value):
-        raise KernelError(f"nonfinite truncated mass at (xi, sigma) = ({xi}, {sigma})")
-    return value
+    del xi2
+
+    masses = []
+    for s, centre in zip(sigmas, centres):
+        inner = _floored_trapezoid(amp * table(centre + u), u) / (2.0 * axi)
+        pref = (
+            _bracket_pow(np.asarray(s), -spec.c * p)
+            * _bracket_pow(np.asarray(xi), spec.l * p)
+            * axi**p
+        )
+        value = float(pref) * inner
+        if not math.isfinite(value):
+            raise KernelError(f"nonfinite truncated mass at (xi, sigma) = ({xi}, {s})")
+        masses.append(value)
+    return _one_or_many(masses, sigma)
 
 
 def kernel_mass(
-    spec: KernelSpec, outer1: float, outer2: float, R: float,
+    spec: KernelSpec, outer1: float, outer2, R: float,
     resolution: float = 0.25, table: _ConvTable | None = None,
-) -> float:
+) -> float | np.ndarray:
+    """Mass of spec's family at (outer1, outer2): a float for a scalar
+    outer2, one mass per entry for a sequence of them."""
     if spec.family == FAMILY_SCHRODINGER_PRODUCT:
         return schrodinger_product_mass(spec, outer1, outer2, R, resolution, table)
     return wave_source_mass(spec, outer1, outer2, R, resolution, table)
@@ -639,8 +671,11 @@ def kernel_sup(
 
     Outer points and quadrature nodes are nested across the ladder, so
     values are monotone in the radius.  Work items are independent per
-    outer point; the reduction is an exact maximum in a fixed order,
-    hence identical results for any worker count (ZAKLAB_WORKERS).
+    (xi, radius): one kernel_mass call takes every sigma paired with xi
+    at that radius, so the xi2 nodes and amplitudes are built once per
+    item.  The reduction is an exact maximum over the outer points in a
+    fixed order, hence identical results for any worker count
+    (ZAKLAB_WORKERS).
     """
     if outer is None:
         outer = OuterGrid.default(spec.family, R)
@@ -652,15 +687,18 @@ def kernel_sup(
     n_workers = worker_count()
     for radius in radii:
         pts = outer.points_at(radius)
+        items = [(xi, [s for _, s in group])
+                 for xi, group in groupby(pts, key=lambda pt: pt[0])]
 
-        def job(pt):
-            return kernel_mass(spec, pt[0], pt[1], radius, resolution, table)
+        def job(item):
+            return kernel_mass(spec, *item, radius, resolution, table)
 
         if n_workers > 1:
             with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                masses = list(pool.map(job, pts))
+                batches = list(pool.map(job, items))
         else:
-            masses = [job(pt) for pt in pts]
+            batches = [job(item) for item in items]
+        masses = [m for batch in batches for m in batch.tolist()]
         best = max(range(len(pts)), key=lambda i: masses[i])
         values.append(masses[best])
         argmaxes.append(pts[best])

@@ -207,6 +207,18 @@ class TestLifespanCommand:
      "--resolution", "-0.5"],
     ["lipschitz", "--k", "0", "--l", "-1/2", "--p", "2", "--tier", "quick",
      "--seeds", "0"],
+    ["lipschitz", "--k", "0", "--l", "-1/2", "--p", "2", "--tier", "quick",
+     "--amplitude", "nan"],
+    ["lipschitz", "--k", "0", "--l", "-1/2", "--p", "2", "--tier", "quick",
+     "--deltas", "1e-2,inf"],
+    ["simulate", "--tier", "quick", "--amplitude", "inf"],
+    ["simulate", "--tier", "quick", "--box", "nan"],
+    ["simulate", "--tier", "quick", "--t-final", "nan"],
+    ["simulate", "--tier", "quick", "--dt", "inf"],
+    ["lifespan", "--mu", "1,inf", "--n", "64", "--t-final", "0.01"],
+    ["lifespan", "--amplitude", "nan", "--n", "64", "--t-final", "0.01"],
+    ["kernel-scan", "--k", "0", "--l", "-1/2", "--p", "2", "--tier", "quick",
+     "--r-max", "nan"],
 ])
 def test_bad_input_is_one_stderr_line_and_exit_2(capsys, argv):
     try:
@@ -236,6 +248,44 @@ class TestConfigFile:
         code, doc = run_json(capsys, "--config", str(conf), "optimize")
         assert code == 0
         assert doc["payload"]["k_inf"] == "0"
+
+    ADMISSIBLE = {"k": "0", "l": "-1/2", "p": "2", "b": "11/20", "b1": "11/20"}
+
+    @pytest.mark.parametrize("fmt", ["json", "key=value"])
+    def test_config_supplies_required_flags(self, capsys, tmp_path, fmt):
+        conf = tmp_path / "point.conf"
+        if fmt == "json":
+            conf.write_text(json.dumps({**self.ADMISSIBLE, "k": 0, "p": 2}))
+        else:
+            conf.write_text("".join(f"{k} = {v}\n" for k, v in self.ADMISSIBLE.items()))
+        code, doc = run_json(capsys, "--config", str(conf), "admissible")
+        assert code == 0
+        assert doc["config"] == self.ADMISSIBLE
+        # an explicit flag wins over a required key from the file
+        code, doc = run_json(capsys, "--config", str(conf), "admissible", "--b", "1/2")
+        assert code == 1 and "rejected" in doc["payload"]
+        # keys the subcommand does not take are left out
+        code, doc = run_json(capsys, "--config", str(conf), "window")
+        assert code == 0 and doc["config"] == {"k": "0", "l": "-1/2", "p": "2"}
+
+    def test_config_values_are_parsed_like_flags(self, capsys, tmp_path):
+        conf = tmp_path / "point.json"
+        conf.write_text(json.dumps({**self.ADMISSIBLE, "l": -0.5}))
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--config", str(conf), "admissible"])
+        assert info.value.code == 2
+        assert "not exact" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [None, "k 0\n"])
+    def test_unreadable_config_is_one_stderr_line(self, capsys, tmp_path, text):
+        conf = tmp_path / "point.conf"
+        if text is not None:
+            conf.write_text(text)
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--config", str(conf), "window"])
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert len(err.splitlines()) == 1 and "--config" in err
 
     def test_jsonl_output(self, capsys, tmp_path):
         out = tmp_path / "reports.jsonl"

@@ -3,6 +3,7 @@ convolution inequality."""
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -327,6 +328,22 @@ class TestCompletedMass:
             K.tail_mass(spec, 1.0, 0.0, 10.0)
 
 
+class TestMassOverManySigmas:
+    @pytest.mark.parametrize("family", ["S", "W"])
+    @pytest.mark.parametrize("R", [0.75, 40.0])
+    def test_vector_equals_scalar_calls(self, family, R):
+        spec = optimal_spec(family)
+        sigmas = [-50.0, -2.0, 0.0, 0.75, 3.0, 40.0]
+        for xi in (0.0, 0.5, 3.0, 12.0):
+            table = K._complete_table(spec, [(xi, s) for s in sigmas], R, 0.25)
+            many = K.kernel_mass(spec, xi, sigmas, R, 0.25, table)
+            assert isinstance(many, np.ndarray) and many.shape == (len(sigmas),)
+            for s, m in zip(sigmas, many):
+                one = K.kernel_mass(spec, xi, s, R, 0.25, table)
+                assert isinstance(one, float)
+                assert one == m, (xi, s)
+
+
 class TestKernelSup:
     def mid_window_spec(self, family):
         from fractions import Fraction as F
@@ -382,7 +399,7 @@ class TestKernelSup:
         spec = self.mid_window_spec("S")
         a = K.kernel_sup(spec, 48.0, resolution=0.5)
         b = K.kernel_sup(spec, 48.0, resolution=0.5)
-        assert a.values == b.values
+        assert a == b
         old = os.environ.get(K.WORKERS_ENV)
         try:
             os.environ[K.WORKERS_ENV] = "4"
@@ -392,7 +409,34 @@ class TestKernelSup:
                 os.environ.pop(K.WORKERS_ENV, None)
             else:
                 os.environ[K.WORKERS_ENV] = old
-        assert c.values == a.values
+        assert c == a
+
+    @pytest.mark.parametrize("R,h", [(48.0, 0.5), (10.0, 0.3)])
+    @pytest.mark.parametrize("family,violate", [("S", False), ("W", False),
+                                                ("S", True), ("W", True)])
+    def test_equals_a_loop_of_scalar_masses(self, family, violate, R, h):
+        # quick tier, and a radius and step off the h-lattice; violate
+        # breaks the family's l condition as kernel-scan --violate l does
+        spec = self.mid_window_spec(family)
+        if violate:
+            spec = replace(spec, l=-0.75 if family == "S" else 0.0)
+        diag = K.kernel_sup(spec, R, resolution=h)
+
+        outer = K.OuterGrid.default(family, R)
+        table = K._complete_table(spec, outer.points_at(R), R, h)
+        values, argmax, completed = [], [], []
+        for radius in diag.radii:
+            pts = outer.points_at(radius)
+            masses = [K.kernel_mass(spec, x, s, radius, h, table) for x, s in pts]
+            best = max(range(len(pts)), key=lambda i: masses[i])
+            values.append(masses[best])
+            argmax.append(pts[best])
+            if diag.completed is not None:
+                completed.append(max(m + K.tail_mass(spec, x, s, radius)
+                                     for (x, s), m in zip(pts, masses)))
+        assert diag.values == tuple(values)
+        assert diag.argmax == tuple(argmax)
+        assert diag.completed == (tuple(completed) if completed else None)
 
     def test_worker_count_clamped_to_usable_cpus(self, monkeypatch):
         monkeypatch.setenv(K.WORKERS_ENV, "100000")
