@@ -40,7 +40,10 @@ are nested across the radius ladder and the table depends only on its
 argument, so the xi2-truncated masses are monotone in the radius.  The
 xi2 nodes and amplitudes depend on the outer xi alone, not on sigma, so
 the mass functions take an array of sigma values and kernel_sup's work
-items are per (xi, radius).
+items are per (xi, radius).  With a power-of-two step the y and u nodes
+and the offsets sigma -+ xi^2 lie on the table's h-lattice, and reading
+the table there is a slice that is bitwise equal to its interpolation
+(_ConvTable.at); only off-lattice arguments are interpolated.
 """
 
 from __future__ import annotations
@@ -53,8 +56,7 @@ from itertools import groupby
 from typing import Sequence
 
 import numpy as np
-from scipy import special
-from scipy.signal import fftconvolve
+from scipy import fft, special
 
 from .grids import GridFunction
 
@@ -177,10 +179,25 @@ def _bracket_pow(x: np.ndarray, expo: float) -> np.ndarray:
     return (1.0 + x * x) ** (expo / 2.0)
 
 
+def _lattice_index(x: float, h: float) -> int | None:
+    """The integer j with x == j h, when h is a power of two and |j| is
+    below 2^51, so that sums of three such lattice points are exact in
+    floats; else None."""
+    if math.frexp(h)[0] != 0.5:
+        return None
+    j = x / h
+    if not j.is_integer() or abs(j) >= 2.0**51:
+        return None
+    return int(j)
+
+
 @dataclass(frozen=True)
 class _ConvTable:
     """Dense table of H(a) = int <s>^(-e_in) <a-s>^(-e_out) ds over
-    s in [-R, R], or over all of the real line for the complete table."""
+    s in [-R, R], or over all of the real line for the complete table.
+
+    Arguments on the table's own lattice a0 + h j are read as a slice
+    (lattice_start, at); anything else is interpolated (__call__)."""
 
     a0: float
     h: float
@@ -200,6 +217,37 @@ class _ConvTable:
         out *= idx
         out += lo
         return out
+
+    def lattice_start(self, nodes: np.ndarray) -> int | None:
+        """The lattice index j with nodes[i] == (j + i) h exactly for every
+        i, or None when nodes are not consecutive points of the h-lattice
+        (or h is not a power of two).  Checked once per node set, so that
+        at() costs O(1) per call on top of the slice."""
+        first = _lattice_index(float(nodes[0]), self.h)
+        if first is None or abs(first) + len(nodes) >= 2**51:
+            return None
+        if not np.array_equal(nodes, (first + np.arange(len(nodes))) * self.h):
+            return None
+        return first
+
+    def at(self, base: float, nodes: np.ndarray, first: int | None) -> np.ndarray:
+        """self(base + nodes), bit for bit, with first = lattice_start(nodes).
+
+        When base and a0 are lattice points too, every interpolation index
+        is an exact integer j0 + i with fraction 0.0, so for the finite
+        values _conv_table builds the interpolation returns values[j0 + i]
+        exactly, and the result is the read-only view values[j0 : j0 + n].
+        The last table entry is left to __call__, which reads it as the
+        entry before it plus a fraction of 1.0, not bitwise the entry
+        itself.  Every other argument set is interpolated."""
+        if first is not None:
+            b = _lattice_index(base, self.h)
+            a = _lattice_index(self.a0, self.h)
+            if b is not None and a is not None:
+                j0 = b - a + first
+                if 0 <= j0 and j0 + len(nodes) <= len(self.values) - 1:
+                    return self.values[j0 : j0 + len(nodes)]
+        return self(base + nodes)
 
 
 # The complete table is a lattice convolution for |a| <= A_NEAR, over an
@@ -272,7 +320,13 @@ def _lattice_conv(
     fw[-1] *= 0.5
     fw *= h
     q = (a_lo - S) + h * np.arange(n + m - 1)
-    return fftconvolve(_bracket_pow(q, -e_outer), fw, mode="valid")
+    # the valid part of the full linear convolution, computed as
+    # scipy.signal.fftconvolve(..., mode="valid") does it, without
+    # importing scipy.signal (which loads scipy.stats)
+    size = fft.next_fast_len(n + 2 * m - 2, True)
+    full = fft.irfft(fft.rfft(_bracket_pow(q, -e_outer), size)
+                     * fft.rfft(fw, size), size)
+    return full[m - 1 : m - 1 + n].copy()
 
 
 def _conv_table(
@@ -315,14 +369,17 @@ def _conv_table(
         vals = _lattice_conv(e_inner, e_outer, R, h, amin, n)
     np.maximum(vals, 0.0, out=vals)
     vals[vals < TINY_FLOOR] = 0.0
+    vals.flags.writeable = False  # at() hands out views of it
     return _ConvTable(amin, h, vals)
 
 
-def _floored_trapezoid(vals: np.ndarray, x: np.ndarray) -> float:
-    """Trapezoid integral of vals over x, with values below TINY_FLOOR
-    zeroed in place first."""
+def _floored_trapezoid(vals: np.ndarray, dx: np.ndarray) -> float:
+    """Trapezoid integral of vals over nodes with spacings dx = np.diff(x),
+    with values below TINY_FLOOR zeroed in place first.  The sum is the
+    expression np.trapezoid(vals, x) evaluates for 1-D input, so the
+    spacings of a node set are computed once for all its sigma."""
     vals[vals < TINY_FLOOR] = 0.0
-    return float(np.trapezoid(vals, x))
+    return float((dx * (vals[1:] + vals[:-1]) / 2.0).sum())
 
 
 def _one_or_many(masses: list[float], outer2) -> float | np.ndarray:
@@ -343,10 +400,11 @@ def schrodinger_product_mass(
     A table passed in replaces the sigma2 integral: kernel_sup passes the
     complete one, which integrates sigma2 over the real line.
 
-    sigma1 may be an array: the xi2 nodes and amplitudes depend on xi1
-    only, so they are built once and each sigma1 costs one table lookup
-    and one trapezoid per node set.  The result is then one mass per
-    sigma1, each bitwise equal to the scalar call with the same table."""
+    sigma1 may be an array: the xi2 nodes, their spacings and amplitudes
+    depend on xi1 only, so they are built once and each sigma1 costs one
+    table read and one trapezoid per node set.  The result is then one
+    mass per sigma1, each bitwise equal to the scalar call with the same
+    table."""
     if spec.family != FAMILY_SCHRODINGER_PRODUCT:
         raise KernelError("spec.family must be 'S' here")
     if not R > 0:
@@ -362,9 +420,12 @@ def schrodinger_product_mass(
     w0 = min(1.0, R)
     xi2 = np.linspace(-w0, w0, max(3, int(round(2.0 * w0 / h)) + 1))
     xi2_sq = xi2 * xi2
+    d_xi2 = np.diff(xi2)
     amp_in = _bracket_pow(xi1 - xi2, -spec.l * p) * _bracket_pow(xi2, -spec.k * p)
     if R > 1.0:
         y = np.linspace(1.0, R * R, int(round((R * R - 1.0) / h)) + 1)
+        dy = np.diff(y)
+        y_first = table.lattice_start(y)
         root = np.sqrt(y)
         amp_out = (
             _bracket_pow(xi1 - root, -spec.l * p)
@@ -374,9 +435,10 @@ def schrodinger_product_mass(
 
     masses = []
     for s, base in zip(sigmas, bases):
-        total = _floored_trapezoid(amp_in * table(base + xi2_sq), xi2)
+        total = _floored_trapezoid(amp_in * table(base + xi2_sq), d_xi2)
         if R > 1.0:
-            total += _floored_trapezoid(amp_out * table(base + y) / two_root, y)
+            total += _floored_trapezoid(
+                amp_out * table.at(base, y, y_first) / two_root, dy)
         pref = _bracket_pow(np.asarray(s), -spec.c1 * p) * _bracket_pow(
             np.asarray(xi1), spec.k * p
         )
@@ -418,13 +480,16 @@ def wave_source_mass(
         table = _conv_table(spec.b1 * p, spec.b1 * p, R, h,
                             min(centres) - U, max(centres) + U)
     u = np.linspace(-U, U, int(round(2.0 * U / h)) + 1)
+    du = np.diff(u)
+    u_first = table.lattice_start(u)
     xi2 = u / (2.0 * xi)
     amp = _bracket_pow(xi + xi2, -spec.k * p) * _bracket_pow(xi2, -spec.k * p)
     del xi2
 
     masses = []
     for s, centre in zip(sigmas, centres):
-        inner = _floored_trapezoid(amp * table(centre + u), u) / (2.0 * axi)
+        inner = (_floored_trapezoid(amp * table.at(centre, u, u_first), du)
+                 / (2.0 * axi))
         pref = (
             _bracket_pow(np.asarray(s), -spec.c * p)
             * _bracket_pow(np.asarray(xi), spec.l * p)

@@ -1,9 +1,17 @@
 """Command-line contract: exit codes, report schema, determinism, config."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zaklab import cli
 from zaklab import grids as G
@@ -295,3 +303,50 @@ class TestConfigFile:
         assert len(lines) == 2
         docs = [json.loads(line) for line in lines]
         assert docs[0]["payload"] == docs[1]["payload"]
+
+
+def test_importing_the_cli_leaves_scipy_signal_out():
+    # scipy.signal loads scipy.stats, about 1 s of every command's start-up
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = "import sys, zaklab.cli; sys.exit('scipy.signal' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0
+
+
+POINT = ["--k", "0", "--l", "-1/2", "--p", "2"]
+FUZZ_COMMANDS = {"admissible": POINT + ["--b", "11/20", "--b1", "11/20"],
+                 "window": POINT, "scaling": POINT, "optimize": [],
+                 "--version": []}
+FUZZ_FLAGS = ["--k", "--l", "--p", "--b", "--b1", "--fixed-p", "--tier",
+              "--json", "--config"]
+FUZZ_VALUES = ["0", "2", "-1/2", "11/20", "3/4", "12/7", "-7/12", "-1/12",
+               "0/5", "nan", "inf", "-inf", "1/0", "1e400", "0.5", "", " ",
+               "x", "quick", "--", "no-such-dir/zaklab.conf"]
+FUZZ_TOKENS = FUZZ_FLAGS + FUZZ_VALUES
+# a valid command line (or none), later flags overriding its values, and
+# stray tokens before and after the subcommand
+FUZZ_ARGV = st.tuples(
+    st.lists(st.sampled_from(FUZZ_TOKENS), max_size=2),
+    st.sampled_from(sorted(FUZZ_COMMANDS)),
+    st.booleans(),
+    st.lists(st.tuples(st.sampled_from(FUZZ_FLAGS),
+                       st.sampled_from(FUZZ_VALUES)), max_size=4),
+    st.lists(st.sampled_from(FUZZ_TOKENS), max_size=2),
+).map(lambda t: [*t[0], t[1], *(FUZZ_COMMANDS[t[1]] if t[2] else []),
+                 *(tok for pair in t[3] for tok in pair), *t[4]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=FUZZ_ARGV)
+def test_fuzzed_argv_exits_0_1_or_2(argv):
+    # only the exact-algebra commands: kernel-scan and the solver commands
+    # run for seconds per call
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

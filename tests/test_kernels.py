@@ -263,6 +263,22 @@ class TestCompleteTable:
         with pytest.raises(K.KernelError, match="above 1"):
             K._conv_table(0.9, 1.5, math.inf, 0.25, -10.0, 10.0)
 
+    @pytest.mark.parametrize("S,h,n", [(2.0, 0.5, 1), (3.0, 0.25, 40),
+                                       (10.0, 0.3, 997), (1024.0, 0.25, 1601)])
+    def test_lattice_conv_is_fftconvolve_bit_for_bit(self, S, h, n):
+        from scipy.signal import fftconvolve
+
+        a_lo = -7.0 * h
+        m = int(round(2.0 * S / h)) + 1
+        fw = K._bracket_pow(-S + h * np.arange(m), -1.3)
+        fw[0] *= 0.5
+        fw[-1] *= 0.5
+        fw *= h
+        q = (a_lo - S) + h * np.arange(n + m - 1)
+        want = fftconvolve(K._bracket_pow(q, -1.7), fw, mode="valid")
+        got = K._lattice_conv(1.3, 1.7, S, h, a_lo, n)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestCompletedMass:
     def test_optimal_wave_source_completion_is_flat_in_radius(self):
@@ -329,6 +345,15 @@ class TestCompletedMass:
 
 
 class TestMassOverManySigmas:
+    def test_floored_trapezoid_is_np_trapezoid(self):
+        rng = np.random.default_rng(3)
+        for x in (np.linspace(1.0, 400.0, 1597), np.cumsum(rng.random(300))):
+            vals = rng.random(len(x)) * 10.0 ** rng.integers(-16, 3, len(x))
+            want = vals.copy()
+            want[want < K.TINY_FLOOR] = 0.0
+            got = K._floored_trapezoid(vals, np.diff(x))
+            assert np.float64(got).tobytes() == np.trapezoid(want, x).tobytes()
+
     @pytest.mark.parametrize("family", ["S", "W"])
     @pytest.mark.parametrize("R", [0.75, 40.0])
     def test_vector_equals_scalar_calls(self, family, R):
@@ -342,6 +367,62 @@ class TestMassOverManySigmas:
                 one = K.kernel_mass(spec, xi, s, R, 0.25, table)
                 assert isinstance(one, float)
                 assert one == m, (xi, s)
+
+
+class TestLatticeRead:
+    """_ConvTable.at is bitwise table(base + nodes), and a slice of the
+    table exactly when every argument is a lattice point."""
+
+    def check(self, table, base, nodes):
+        first = table.lattice_start(nodes)
+        got = table.at(base, nodes, first)
+        assert got.tobytes() == table(base + nodes).tobytes()
+        return first, np.shares_memory(got, table.values)
+
+    @pytest.mark.parametrize("h", [0.25, 0.5])
+    def test_on_the_lattice_is_a_slice(self, h):
+        table = K._conv_table(1.2, 1.3, math.inf, h, -60.0, 450.0)
+        y = np.linspace(1.0, 400.0, int(round(399.0 / h)) + 1)
+        u = np.linspace(-50.0, 50.0, int(round(100.0 / h)) + 1)
+        for base, nodes in ((-3.0, y), (1.5, y), (4.0, u), (-2.0, u)):
+            first, sliced = self.check(table, base, nodes)
+            assert first == int(nodes[0] / h) and sliced, (base, h)
+
+    @pytest.mark.parametrize("h", [0.25, 0.5])
+    def test_off_lattice_base_interpolates(self, h):
+        table = K._conv_table(1.2, 1.3, math.inf, h, -60.0, 450.0)
+        y = np.linspace(1.0, 400.0, int(round(399.0 / h)) + 1)
+        first, sliced = self.check(table, 0.1 - 4.0, y)
+        assert first is not None and not sliced
+
+    def test_step_not_a_power_of_two_interpolates(self):
+        # even nodes that are exact multiples j * 0.3 interpolate: sums of
+        # such products are not exact, so the fractions need not be 0.0
+        table = K._conv_table(1.2, 1.3, math.inf, 0.3, -60.0, 450.0)
+        u = np.linspace(-30.0, 30.0, int(round(60.0 / 0.3)) + 1)
+        products = 0.3 * np.arange(-100, 101)
+        for base in (0.0, 0.3, 3.0):
+            assert self.check(table, base, u) == (None, False)
+            assert self.check(table, base, products) == (None, False)
+
+    def test_nodes_off_the_lattice_interpolate(self):
+        table = K._conv_table(1.2, 1.3, math.inf, 0.25, -60.0, 450.0)
+        xi2 = np.linspace(-1.0, 1.0, 9)
+        assert self.check(table, 2.0, xi2 * xi2) == (None, False)
+        assert self.check(table, 2.0, np.array([0.25, 0.75, 1.0])) == (None, False)
+
+    def test_last_table_entry_interpolates(self):
+        # __call__ reads an index of len - 1 as the entry before it plus a
+        # fraction of 1.0, which need not be bitwise the last entry
+        h = 0.25
+        table = K._conv_table(1.2, 1.3, math.inf, h, -60.0, 450.0)
+        n = 41
+        nodes = h * np.arange(n, dtype=float)
+        last = table.a0 + h * (len(table.values) - 1)
+        assert self.check(table, last - nodes[-1], nodes) == (0, False)
+        assert self.check(table, last - nodes[-1] - h, nodes) == (0, True)
+        assert self.check(table, table.a0, nodes) == (0, True)
+        assert self.check(table, table.a0 - h, nodes) == (0, False)
 
 
 class TestKernelSup:
@@ -437,6 +518,54 @@ class TestKernelSup:
         assert diag.values == tuple(values)
         assert diag.argmax == tuple(argmax)
         assert diag.completed == (tuple(completed) if completed else None)
+
+    @pytest.mark.parametrize("R,h", [(48.0, 0.5), (10.0, 0.3)])
+    @pytest.mark.parametrize("family,violate", [("S", False), ("W", False),
+                                                ("S", True), ("W", True)])
+    def test_lattice_read_equals_interpolation(self, family, violate, R, h,
+                                               monkeypatch):
+        spec = self.mid_window_spec(family)
+        if violate:
+            spec = replace(spec, l=-0.75 if family == "S" else 0.0)
+        fast = K.kernel_sup(spec, R, resolution=h)
+        monkeypatch.setattr(K._ConvTable, "at",
+                            lambda self, base, nodes, first: self(base + nodes))
+        assert K.kernel_sup(spec, R, resolution=h) == fast
+
+    @pytest.mark.parametrize("family", ["S", "W"])
+    @pytest.mark.parametrize("h", [0.25, 0.5])
+    def test_lattice_bases_take_the_slice(self, family, h, monkeypatch):
+        # at the standard tier's step 0.25 every base sigma -+ xi^2 of the
+        # default outer grid is a lattice point; at the quick tier's 0.5,
+        # xi = 0.5 and 1.5 put xi^2 off it, and only those interpolate
+        reads = []
+        at = K._ConvTable.at
+
+        def spy(table, base, nodes, first):
+            out = at(table, base, nodes, first)
+            reads.append((base / h).is_integer()
+                         == np.shares_memory(out, table.values))
+            return out
+
+        monkeypatch.setattr(K._ConvTable, "at", spy)
+        K.kernel_sup(self.mid_window_spec(family), 48.0, resolution=h)
+        assert reads and all(reads)
+
+    @pytest.mark.parametrize("family", ["S", "W"])
+    def test_only_the_xi2_patch_interpolates_on_the_lattice(self, family,
+                                                            monkeypatch):
+        lengths = []
+        call = K._ConvTable.__call__
+
+        def spy(table, a):
+            lengths.append(len(a))
+            return call(table, a)
+
+        monkeypatch.setattr(K._ConvTable, "__call__", spy)
+        K.kernel_sup(self.mid_window_spec(family), 48.0, resolution=0.25)
+        patch = 9  # the xi2 nodes on [-1, 1] at step 0.25
+        assert [n for n in lengths if n > patch] == []
+        assert (len(lengths) > 0) == (family == "S")
 
     def test_worker_count_clamped_to_usable_cpus(self, monkeypatch):
         monkeypatch.setenv(K.WORKERS_ENV, "100000")
