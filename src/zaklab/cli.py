@@ -562,8 +562,23 @@ def _add_common(sub, required_rationals=(), optional_rationals=(), solver_opts=F
         sub.add_argument("--sample-stride", type=int, default=25)
 
 
-# lets bare negative rationals like -1/2 pass as option values
+# a bare negative number such as -1/2 or -0.5, which argparse would take
+# for an option; main() joins it to the option before it, as --l=-1/2
 _NEGATIVE_VALUE = re.compile(r"^-\d+(\.\d+)?(/\d+)?$")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with every bare negative number joined to the long option
+    before it (--l -7/12 becomes --l=-7/12)."""
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if (_NEGATIVE_VALUE.match(tok) and prev.startswith("--")
+                and len(prev) > 2 and "=" not in prev):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
 
 
 class _Parser(argparse.ArgumentParser):
@@ -589,7 +604,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser._negative_number_matcher = _NEGATIVE_VALUE
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--config", help="key=value or JSON defaults file")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -682,8 +696,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add_common(s, solver_opts=True)
     s.set_defaults(func=cmd_lifespan)
 
-    for sub in submap.values():
-        sub._negative_number_matcher = _NEGATIVE_VALUE
     return parser, submap
 
 
@@ -706,7 +718,7 @@ def main(argv=None) -> int:
         if command is not None:
             flags = submap[argv[command]].flags
             argv[command + 1:command + 1] = _config_tokens(config, flags)
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(argv))
     try:
         return args.func(args)
     except (params.ParamDomainError, grids.GridError, solver.SolverError,

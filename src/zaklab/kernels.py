@@ -39,15 +39,20 @@ remainder beyond R in closed form (tail_exponents, tail_mass).  Domains
 are nested across the radius ladder and the table depends only on its
 argument, so the xi2-truncated masses are monotone in the radius.  The
 xi2 nodes and amplitudes depend on the outer xi alone, not on sigma, so
-the mass functions take an array of sigma values and kernel_sup's work
-items are per (xi, radius).  With a power-of-two step the y and u nodes
-and the offsets sigma -+ xi^2 lie on the table's h-lattice, and reading
-the table there is a slice that is bitwise equal to its interpolation
-(_ConvTable.at); only off-lattice arguments are interpolated.
+the mass functions take an array of sigma values, and a tuple of radii:
+kernel_sup's work items are per xi.  With a power-of-two step the y and
+u nodes and the offsets sigma -+ xi^2 lie on the table's h-lattice, and
+reading the table there is a slice that is bitwise equal to its
+interpolation (_ConvTable.at); only off-lattice arguments are
+interpolated.  On that lattice a smaller radius's y nodes are a prefix,
+and its u nodes a centred sub-slice, of the largest radius's, so one
+integrand per sigma serves every radius whose nodes nest, and each
+radius's trapezoid is a sum over its own span of the same pair sums.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -281,6 +286,7 @@ def _homogeneous_coefficient(e1: float, e2: float) -> float:
     )
 
 
+@functools.lru_cache(maxsize=64)
 def _far_terms(e1: float, e2: float) -> tuple[tuple[float, float], ...]:
     """(coefficient, power) pairs of the large-|a| closed form of
     int <s>^(-e1) <a-s>^(-e2) ds over the real line, for e1, e2 > 1:
@@ -373,25 +379,132 @@ def _conv_table(
     return _ConvTable(amin, h, vals)
 
 
-def _floored_trapezoid(vals: np.ndarray, dx: np.ndarray) -> float:
-    """Trapezoid integral of vals over nodes with spacings dx = np.diff(x),
-    with values below TINY_FLOOR zeroed in place first.  The sum is the
-    expression np.trapezoid(vals, x) evaluates for 1-D input, so the
-    spacings of a node set are computed once for all its sigma."""
-    vals[vals < TINY_FLOOR] = 0.0
-    return float((dx * (vals[1:] + vals[:-1]) / 2.0).sum())
+def _floor_tiny(vals: np.ndarray) -> None:
+    """Zero the values below TINY_FLOOR in place.  The mask is built only
+    when some value is below the floor, which is rare in practice."""
+    if vals.min() < TINY_FLOOR:
+        vals[vals < TINY_FLOOR] = 0.0
 
 
-def _one_or_many(masses: list[float], outer2) -> float | np.ndarray:
-    """A float for a scalar outer2, else one mass per entry."""
-    return masses[0] if np.ndim(outer2) == 0 else np.array(masses)
+def _trapezoid(pair: np.ndarray, dx: np.ndarray | None, step: float) -> float:
+    """The sum np.trapezoid(v, x) evaluates for 1-D input, from the pair
+    sums pair = v[1:] + v[:-1] and the spacings dx = np.diff(x).  With
+    dx None every spacing is exactly step, a power of two: scaling by it
+    commutes with every rounding of the sum, so pair.sum() * (step / 2.0)
+    is bitwise (dx * pair / 2.0).sum()."""
+    if dx is None:
+        return float(pair.sum()) * (step / 2.0)
+    return float((dx * pair / 2.0).sum())
+
+
+def _nest(node_sets: dict[int, np.ndarray]) -> list[tuple[np.ndarray, dict]]:
+    """Group the node sets of a radius ladder, keyed by ladder index in
+    ascending order, by nesting: each group is the node set of its largest
+    radius with, per ladder index, the span (lo, hi) of its pair sums
+    whose nodes are exactly that index's own.  Sets that are not an exact
+    sub-slice of a larger one (a step such as 0.3) form their own group."""
+    groups = []
+    for i in reversed(list(node_sets)):
+        x = node_sets[i]
+        for top, spans in groups:
+            lo = int(np.searchsorted(top, x[0]))
+            if lo + len(x) <= len(top) and np.array_equal(top[lo:lo + len(x)], x):
+                spans[i] = (lo, lo + len(x) - 1)
+                break
+        else:
+            groups.append((x, {i: (0, len(x) - 1)}))
+    return groups
+
+
+class _Integrand:
+    """One piece of the xi2 integral, amp * table(base + args), divided by
+    divisor when given, integrated by the trapezoid over nodes; args are
+    the nodes unless given.  It is built once on the largest node set of
+    a nesting group, with buffers reused for every base; the integral of
+    each radius in the group is a sum over its own span of the same pair
+    sums.  The floor and the pair sums act elementwise, so each span's
+    integral is bitwise the one of that radius's own node set.  Buffers
+    are per instance, so instances are not shared between threads."""
+
+    def __init__(self, table: _ConvTable, nodes, amp, spans, divisor=None, args=None):
+        self.table, self.amp, self.spans, self.divisor = table, amp, spans, divisor
+        start = table.lattice_start(nodes)
+        self.dx = None if start is not None else np.diff(nodes)
+        self.args = nodes if args is None else args
+        self.first = start if args is None else table.lattice_start(args)
+        self.buf = np.empty(len(nodes))
+        self.pair = np.empty(len(nodes) - 1)
+
+    def integrals(self, base: float):
+        """(ladder index, integral) over the group at one base."""
+        if self.first is None:  # args off the lattice, as in the xi2 patch
+            vals = self.table(base + self.args)
+        else:
+            vals = self.table.at(base, self.args, self.first)
+        buf = np.multiply(self.amp, vals, out=self.buf)
+        if self.divisor is not None:
+            np.divide(buf, self.divisor, out=buf)
+        _floor_tiny(buf)
+        pair = np.add(buf[1:], buf[:-1], out=self.pair)
+        for i, (lo, hi) in self.spans.items():
+            dx = None if self.dx is None else self.dx[lo:hi]
+            yield i, _trapezoid(pair[lo:hi], dx, self.table.h)
+
+
+def _ladder_masses(pieces: list[_Integrand], bases, prefs, scale: float,
+                   n_radii: int, where) -> list[list[float]]:
+    """masses[radius][j] = prefs[j] * (integral / scale) at bases[j], where
+    the integral at a ladder index is the sum of its pieces' integrals in
+    the order of pieces.  A nonfinite mass raises KernelError naming
+    where[j]."""
+    masses = [[0.0] * len(bases) for _ in range(n_radii)]
+    for j, (base, pref) in enumerate(zip(bases, prefs)):
+        totals = {}
+        for piece in pieces:
+            for i, v in piece.integrals(base):
+                totals[i] = totals[i] + v if i in totals else v
+        for i, total in totals.items():
+            value = pref * (total / scale)
+            if not math.isfinite(value):
+                raise KernelError(f"nonfinite truncated mass at {where[j]}")
+            masses[i][j] = value
+    return masses
+
+
+def _radii(R) -> tuple[float, ...]:
+    """R as a strictly ascending tuple of positive radii."""
+    radii = tuple(float(r) for r in np.atleast_1d(R))
+    if not all(r > 0 for r in radii):
+        raise KernelError(f"truncation radius must be positive (got {R})")
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise KernelError(f"truncation radii must ascend strictly (got {R})")
+    return radii
+
+
+def _shaped(masses: list[list[float]], outer2, R) -> float | np.ndarray:
+    """masses[radius][sigma] as a float for scalar outer2 and R, else an
+    array with one axis per non-scalar argument, radii first."""
+    out = np.array(masses)
+    if np.ndim(outer2) == 0:
+        out = out[:, 0]
+    if np.ndim(R) == 0:
+        out = out[0]
+    return float(out) if out.ndim == 0 else out
+
+
+def _truncated_table_radius(radii: tuple[float, ...]) -> float:
+    """The one radius a mass call without a table may have: the truncated
+    sigma2 table depends on the radius, so it is not shared by a ladder."""
+    if len(radii) > 1:
+        raise KernelError("a radius ladder needs a table")
+    return radii[0]
 
 
 def schrodinger_product_mass(
     spec: KernelSpec,
     xi1: float,
     sigma1,
-    R: float,
+    R,
     resolution: float = 0.25,
     table: _ConvTable | None = None,
 ) -> float | np.ndarray:
@@ -402,112 +515,104 @@ def schrodinger_product_mass(
 
     sigma1 may be an array: the xi2 nodes, their spacings and amplitudes
     depend on xi1 only, so they are built once and each sigma1 costs one
-    table read and one trapezoid per node set.  The result is then one
-    mass per sigma1, each bitwise equal to the scalar call with the same
-    table."""
+    table read and one trapezoid per node set.  R may be an ascending
+    tuple of radii when a table is given: the y nodes of a radius on the
+    table's lattice are a prefix of the largest radius's, so one integrand
+    per sigma1 serves every such radius.  The result has one axis per
+    array argument, radii first, and each entry is bitwise the scalar
+    call at that radius and sigma1 with the same table."""
     if spec.family != FAMILY_SCHRODINGER_PRODUCT:
         raise KernelError("spec.family must be 'S' here")
-    if not R > 0:
-        raise KernelError(f"truncation radius must be positive (got {R})")
+    radii = _radii(R)
     h = resolution
     p = spec.p
     sigmas = np.atleast_1d(np.asarray(sigma1, dtype=float)).tolist()
     bases = [s - xi1 * xi1 for s in sigmas]
     if table is None:
-        table = _conv_table(spec.b1 * p, spec.b * p, R, h,
-                            min(bases), max(bases) + R * R)
+        r = _truncated_table_radius(radii)
+        table = _conv_table(spec.b1 * p, spec.b * p, r, h,
+                            min(bases), max(bases) + r * r)
 
-    w0 = min(1.0, R)
-    xi2 = np.linspace(-w0, w0, max(3, int(round(2.0 * w0 / h)) + 1))
-    xi2_sq = xi2 * xi2
-    d_xi2 = np.diff(xi2)
-    amp_in = _bracket_pow(xi1 - xi2, -spec.l * p) * _bracket_pow(xi2, -spec.k * p)
-    if R > 1.0:
-        y = np.linspace(1.0, R * R, int(round((R * R - 1.0) / h)) + 1)
-        dy = np.diff(y)
-        y_first = table.lattice_start(y)
+    pieces = []
+    patches = {}
+    for i, r in enumerate(radii):
+        w0 = min(1.0, r)
+        patches[i] = np.linspace(-w0, w0, max(3, int(round(2.0 * w0 / h)) + 1))
+    for xi2, spans in _nest(patches):
+        amp_in = _bracket_pow(xi1 - xi2, -spec.l * p) * _bracket_pow(xi2, -spec.k * p)
+        pieces.append(_Integrand(table, xi2, amp_in, spans, args=xi2 * xi2))
+    ys = {i: np.linspace(1.0, r * r, int(round((r * r - 1.0) / h)) + 1)
+          for i, r in enumerate(radii) if r > 1.0}
+    for y, spans in _nest(ys):
         root = np.sqrt(y)
         amp_out = (
             _bracket_pow(xi1 - root, -spec.l * p)
             + _bracket_pow(xi1 + root, -spec.l * p)
         ) * _bracket_pow(root, -spec.k * p)
-        two_root = 2.0 * root
+        pieces.append(_Integrand(table, y, amp_out, spans, divisor=2.0 * root))
 
-    masses = []
-    for s, base in zip(sigmas, bases):
-        total = _floored_trapezoid(amp_in * table(base + xi2_sq), d_xi2)
-        if R > 1.0:
-            total += _floored_trapezoid(
-                amp_out * table.at(base, y, y_first) / two_root, dy)
-        pref = _bracket_pow(np.asarray(s), -spec.c1 * p) * _bracket_pow(
-            np.asarray(xi1), spec.k * p
-        )
-        value = float(pref) * total
-        if not math.isfinite(value):
-            raise KernelError(
-                f"nonfinite truncated mass at (xi1, sigma1) = ({xi1}, {s})"
-            )
-        masses.append(value)
-    return _one_or_many(masses, sigma1)
+    prefs = [float(_bracket_pow(np.asarray(s), -spec.c1 * p)
+                   * _bracket_pow(np.asarray(xi1), spec.k * p)) for s in sigmas]
+    where = [f"(xi1, sigma1) = ({xi1}, {s})" for s in sigmas]
+    # a scale of 1.0 divides exactly
+    masses = _ladder_masses(pieces, bases, prefs, 1.0, len(radii), where)
+    return _shaped(masses, sigma1, R)
 
 
 def wave_source_mass(
     spec: KernelSpec,
     xi: float,
     sigma,
-    R: float,
+    R,
     resolution: float = 0.25,
     table: _ConvTable | None = None,
 ) -> float | np.ndarray:
     """Truncated kernel mass of the wave-source family at the outer pair
     (xi, sigma), integrated over [-R, R]^2 in (xi2, sigma2) unless a table
     replaces the sigma2 integral, as in schrodinger_product_mass, which
-    also describes an array sigma.  The |xi|^p prefactor kills xi = 0
-    outright."""
+    also describes an array sigma and a tuple of radii (here the u nodes
+    of a radius are a centred sub-slice of the largest radius's).  The
+    |xi|^p prefactor kills xi = 0 outright."""
     if spec.family != FAMILY_WAVE_SOURCE:
         raise KernelError("spec.family must be 'W' here")
-    if not R > 0:
-        raise KernelError(f"truncation radius must be positive (got {R})")
+    radii = _radii(R)
     sigmas = np.atleast_1d(np.asarray(sigma, dtype=float)).tolist()
     if xi == 0.0:
-        return _one_or_many([0.0] * len(sigmas), sigma)
+        return _shaped([[0.0] * len(sigmas) for _ in radii], sigma, R)
     h = resolution
     p = spec.p
     axi = abs(xi)
-    U = 2.0 * axi * R
     centres = [s + xi * xi for s in sigmas]
     if table is None:
-        table = _conv_table(spec.b1 * p, spec.b1 * p, R, h,
+        r = _truncated_table_radius(radii)
+        U = 2.0 * axi * r
+        table = _conv_table(spec.b1 * p, spec.b1 * p, r, h,
                             min(centres) - U, max(centres) + U)
-    u = np.linspace(-U, U, int(round(2.0 * U / h)) + 1)
-    du = np.diff(u)
-    u_first = table.lattice_start(u)
-    xi2 = u / (2.0 * xi)
-    amp = _bracket_pow(xi + xi2, -spec.k * p) * _bracket_pow(xi2, -spec.k * p)
-    del xi2
+    us = {}
+    for i, r in enumerate(radii):
+        U = 2.0 * axi * r
+        us[i] = np.linspace(-U, U, int(round(2.0 * U / h)) + 1)
+    pieces = []
+    for u, spans in _nest(us):
+        xi2 = u / (2.0 * xi)
+        amp = _bracket_pow(xi + xi2, -spec.k * p) * _bracket_pow(xi2, -spec.k * p)
+        pieces.append(_Integrand(table, u, amp, spans))
 
-    masses = []
-    for s, centre in zip(sigmas, centres):
-        inner = (_floored_trapezoid(amp * table.at(centre, u, u_first), du)
-                 / (2.0 * axi))
-        pref = (
-            _bracket_pow(np.asarray(s), -spec.c * p)
-            * _bracket_pow(np.asarray(xi), spec.l * p)
-            * axi**p
-        )
-        value = float(pref) * inner
-        if not math.isfinite(value):
-            raise KernelError(f"nonfinite truncated mass at (xi, sigma) = ({xi}, {s})")
-        masses.append(value)
-    return _one_or_many(masses, sigma)
+    prefs = [float(_bracket_pow(np.asarray(s), -spec.c * p)
+                   * _bracket_pow(np.asarray(xi), spec.l * p) * axi**p)
+             for s in sigmas]
+    where = [f"(xi, sigma) = ({xi}, {s})" for s in sigmas]
+    masses = _ladder_masses(pieces, centres, prefs, 2.0 * axi, len(radii), where)
+    return _shaped(masses, sigma, R)
 
 
 def kernel_mass(
-    spec: KernelSpec, outer1: float, outer2, R: float,
+    spec: KernelSpec, outer1: float, outer2, R,
     resolution: float = 0.25, table: _ConvTable | None = None,
 ) -> float | np.ndarray:
-    """Mass of spec's family at (outer1, outer2): a float for a scalar
-    outer2, one mass per entry for a sequence of them."""
+    """Mass of spec's family at (outer1, outer2) and radius R: a float for
+    a scalar outer2 and R, else one axis per sequence given, radii first
+    (an ascending tuple of radii needs a table)."""
     if spec.family == FAMILY_SCHRODINGER_PRODUCT:
         return schrodinger_product_mass(spec, outer1, outer2, R, resolution, table)
     return wave_source_mass(spec, outer1, outer2, R, resolution, table)
@@ -736,34 +841,43 @@ def kernel_sup(
 
     Outer points and quadrature nodes are nested across the ladder, so
     values are monotone in the radius.  Work items are independent per
-    (xi, radius): one kernel_mass call takes every sigma paired with xi
-    at that radius, so the xi2 nodes and amplitudes are built once per
-    item.  The reduction is an exact maximum over the outer points in a
-    fixed order, hence identical results for any worker count
-    (ZAKLAB_WORKERS).
+    outer xi: one kernel_mass call takes every sigma paired with xi at the
+    largest radius and every radius of the ladder that keeps xi, so the
+    xi2 nodes and amplitudes are built once per item and one integrand
+    per sigma serves every radius whose nodes nest.  The reduction is an
+    exact maximum over each radius's outer points in a fixed order, hence
+    identical results for any worker count (ZAKLAB_WORKERS).
     """
     if outer is None:
         outer = OuterGrid.default(spec.family, R)
     radii = tuple(f * R for f in sorted(ladder))
-    table = _complete_table(spec, outer.points_at(radii[-1]), radii[-1], resolution)
+    top = outer.points_at(radii[-1])
+    table = _complete_table(spec, top, radii[-1], resolution)
     rates = tail_exponents(spec)
     complete = _tails_converge(rates)
-    values, argmaxes, completed = [], [], []
+    items = [(xi, [s for _, s in group])
+             for xi, group in groupby(top, key=lambda pt: pt[0])]
+
+    def job(item):
+        xi, sigmas = item
+        kept = tuple(r for r in radii if xi <= r)
+        return kept, kernel_mass(spec, xi, sigmas, kept, resolution, table)
+
     n_workers = worker_count()
+    if n_workers > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            batches = list(pool.map(job, items))
+    else:
+        batches = [job(item) for item in items]
+    mass_at = {radius: {} for radius in radii}
+    for (xi, sigmas), (kept, batch) in zip(items, batches):
+        for radius, row in zip(kept, batch.tolist()):
+            mass_at[radius].update(((xi, s), m) for s, m in zip(sigmas, row))
+
+    values, argmaxes, completed = [], [], []
     for radius in radii:
         pts = outer.points_at(radius)
-        items = [(xi, [s for _, s in group])
-                 for xi, group in groupby(pts, key=lambda pt: pt[0])]
-
-        def job(item):
-            return kernel_mass(spec, *item, radius, resolution, table)
-
-        if n_workers > 1:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                batches = list(pool.map(job, items))
-        else:
-            batches = [job(item) for item in items]
-        masses = [m for batch in batches for m in batch.tolist()]
+        masses = [mass_at[radius][pt] for pt in pts]
         best = max(range(len(pts)), key=lambda i: masses[i])
         values.append(masses[best])
         argmaxes.append(pts[best])

@@ -1,6 +1,8 @@
 """Command-line contract: exit codes, report schema, determinism, config."""
 
+import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -60,6 +62,25 @@ class TestAdmissibleCommand:
         assert set(doc) == {"command", "config", "payload", "timing_s", "version"}
         assert doc["payload"]["admissible"] is True
         assert doc["config"]["b"] == "11/20"
+
+    def test_negative_rationals_parse_with_argparse_defaults(self, capsys,
+                                                             monkeypatch):
+        # bare negative values must not rest on argparse's private
+        # _negative_number_matcher, whose default rejects -7/12
+        default = argparse.ArgumentParser()._negative_number_matcher
+        build = cli.build_parser
+
+        def with_default_matcher():
+            parser, submap = build()
+            for p in (parser, *submap.values()):
+                p._negative_number_matcher = default
+            return parser, submap
+
+        monkeypatch.setattr(cli, "build_parser", with_default_matcher)
+        code, doc = run_json(capsys, "admissible", "--k", "-11/150", "--l", "-7/12",
+                             "--p", "12/7", "--b", "59/80", "--b1", "59/80")
+        assert code == 0
+        assert (doc["config"]["k"], doc["config"]["l"]) == ("-11/150", "-7/12")
 
 
 class TestOptimizeCommand:
@@ -140,6 +161,56 @@ class TestKernelScanCommand:
         cells = doc["payload"]["diagnostics"]
         assert sorted(cells) == ["S/minus", "S/plus", "W/minus", "W/plus"]
         assert cells["S/plus"] == cells["S/minus"]
+
+
+PAYLOAD_SHA256 = {
+    ("corner", "quick", "S", False): "07c4c95e170dc0277fe57a1837235c8a95e7530f44b22bceab30ebb36e505ac5",
+    ("corner", "quick", "S", True): "7dc04e7f7b92a353df4c4419da7c1072c4cbf1049504f340e2a32ff8945442a7",
+    ("corner", "quick", "W", False): "58d613e04cb4406390c7f3e6b1b1f8d2fcf1e49fd27333f4960184e9e946330b",
+    ("corner", "quick", "W", True): "710f7f156040dd15efc2bf1502806724818780e5ef9c97be983a337016f5fb9e",
+    ("corner", "r10h03", "S", False): "cfd420081bcfc396a3f75baa692c4bbf60e6ef0d794561703cda3988122a3287",
+    ("corner", "r10h03", "S", True): "674d4952014446824bd46bf2cabeccc240c53faa58c7de3c27c5529b83b823db",
+    ("corner", "r10h03", "W", False): "e78bb39e9233848bc276df82676ae381de48b1112f6c538825f227288d09487e",
+    ("corner", "r10h03", "W", True): "443764b0d4956ead4a4481510c89b98094c7720d0e77ba543c0bbf10f8df276f",
+    ("corner", "r6h025", "S", False): "bba4335f4f66e67a8c67c7f6e38811ef5dd2c2c8cb1ae9f1954e749a59d3f562",
+    ("corner", "r6h025", "S", True): "83718f63e5ea87ccbe5879531322c2e105bac5b5933dc45d91d4b0467685ce1f",
+    ("corner", "r6h025", "W", False): "91283e8995a15acae62ce633d42254dae8dae5fca8d9abe2cd57a88d48a3f729",
+    ("corner", "r6h025", "W", True): "a1653485a04b61af7e01a30153683868a92682626056eed21e8c9e60e193df4d",
+    ("optimal", "quick", "S", False): "950a07b248fd875bfd1c2998f61524c4ff4d1bab70bb05f3f8a218d97111b664",
+    ("optimal", "quick", "S", True): "dad6f4819ed8d390cccd94dd9765290af8ad39526adbd4fd3d9d39bae08b4dfc",
+    ("optimal", "quick", "W", False): "e0e1a71addb31235d2a83633ccd585d1ece7645602948d9d970d056bb40e2c37",
+    ("optimal", "quick", "W", True): "474242e47cb9bef5607fb9c42ad421545f639bb966cf690a672153cfb2116260",
+    ("optimal", "r10h03", "S", False): "c4fe58c0ec071c5fc75146fa90d1fe7a1098774e7ae4f4c627cdeea780ae3e2e",
+    ("optimal", "r10h03", "S", True): "a8a1d1a56650eafa532de3c9c334051a82f8b3affceff29fd3188b6df08d8b7e",
+    ("optimal", "r10h03", "W", False): "4cf2b5ac4fd8a11fca15ef50bb97125e321bf6f107a056ca31bf773caf2b6c10",
+    ("optimal", "r10h03", "W", True): "73c46726369253a4934abc7776ce63c52687054abde994a9851f3dda3a65789f",
+    ("optimal", "r6h025", "S", False): "a7e537e0e4129fbb891cd16346e9f8cb83408bf4b4f7eca2d25a9ecb4802391d",
+    ("optimal", "r6h025", "S", True): "3d00fe01f2f59ec25aeda2c7789b41747f1c06568aad6c43494cea9be26cddac",
+    ("optimal", "r6h025", "W", False): "de0d69e0417fcee5d2f433892bb97e3c86cd13618c8d0910c4f9b2e5fb283d94",
+    ("optimal", "r6h025", "W", True): "7fe8e66155d7ba83d285932bd2a01abcc9076d6973915be042b21ff5ffc68f45",
+}
+SCAN_POINTS = {"corner": ["--k", "0", "--l", "-1/2", "--p", "2"],
+               "optimal": ["--k", "-11/150", "--l", "-7/12", "--p", "12/7"]}
+SCAN_SIZES = {"quick": ["--tier", "quick"],
+              "r10h03": ["--r-max", "10", "--resolution", "0.3"],
+              "r6h025": ["--r-max", "6", "--resolution", "0.25"]}
+
+
+@pytest.mark.parametrize("point,size,family,violate", sorted(PAYLOAD_SHA256))
+def test_kernel_scan_payload_is_byte_identical(capsys, point, size, family,
+                                               violate):
+    """The README's byte-identity contract at the corner and the
+    criterion-6 optimum: the sha256 of the sorted-key JSON payload of
+    kernel-scan --sign both is pinned.  The digests were computed before
+    the radius-ladder quadrature (one integrand per sigma for the whole
+    ladder) replaced the scan per radius, with numpy 2.4.6 and scipy
+    1.17.1; a different pow build can move last bits."""
+    argv = ["kernel-scan", *SCAN_POINTS[point], *SCAN_SIZES[size],
+            "--family", family, "--sign", "both"]
+    _, doc = run_json(capsys, *argv, *(["--violate", "l"] if violate else []))
+    text = json.dumps(doc["payload"], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PAYLOAD_SHA256[
+        point, size, family, violate]
 
 
 class TestTrilinearCommand:

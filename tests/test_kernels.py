@@ -351,8 +351,23 @@ class TestMassOverManySigmas:
             vals = rng.random(len(x)) * 10.0 ** rng.integers(-16, 3, len(x))
             want = vals.copy()
             want[want < K.TINY_FLOOR] = 0.0
-            got = K._floored_trapezoid(vals, np.diff(x))
+            K._floor_tiny(vals)
+            assert vals.tobytes() == want.tobytes()
+            got = K._trapezoid(vals[1:] + vals[:-1], np.diff(x), 1.0)
             assert np.float64(got).tobytes() == np.trapezoid(want, x).tobytes()
+
+    @pytest.mark.parametrize("h", [0.25, 0.5])
+    def test_lattice_trapezoid_is_np_trapezoid(self, h):
+        # spacings exactly h, a power of two: the scaled pair sum over any
+        # span is bitwise np.trapezoid over that span's nodes
+        rng = np.random.default_rng(5)
+        x = (-37 + np.arange(2001)) * h
+        vals = rng.random(len(x)) * 10.0 ** rng.integers(-13, 3, len(x))
+        pair = vals[1:] + vals[:-1]
+        for lo, hi in ((0, 2000), (0, 499), (750, 1250), (3, 4), (7, 7)):
+            got = K._trapezoid(pair[lo:hi], None, h)
+            want = np.trapezoid(vals[lo:hi + 1], x[lo:hi + 1])
+            assert np.float64(got).tobytes() == want.tobytes(), (lo, hi)
 
     @pytest.mark.parametrize("family", ["S", "W"])
     @pytest.mark.parametrize("R", [0.75, 40.0])
@@ -367,6 +382,136 @@ class TestMassOverManySigmas:
                 one = K.kernel_mass(spec, xi, s, R, 0.25, table)
                 assert isinstance(one, float)
                 assert one == m, (xi, s)
+
+
+def reference_mass(spec, xi, s, R, h, table):
+    """The per-(xi, sigma, radius) quadrature kernel_mass computes, written
+    out: its own nodes, the floor as an explicit mask and np.trapezoid."""
+    p = spec.p
+
+    def trapezoid(vals, x):
+        vals[vals < K.TINY_FLOOR] = 0.0
+        return float(np.trapezoid(vals, x))
+
+    if spec.family == "S":
+        base = s - xi * xi
+        w0 = min(1.0, R)
+        xi2 = np.linspace(-w0, w0, max(3, int(round(2.0 * w0 / h)) + 1))
+        amp = K._bracket_pow(xi - xi2, -spec.l * p) * K._bracket_pow(xi2, -spec.k * p)
+        total = trapezoid(amp * table(base + xi2 * xi2), xi2)
+        if R > 1.0:
+            y = np.linspace(1.0, R * R, int(round((R * R - 1.0) / h)) + 1)
+            root = np.sqrt(y)
+            amp = (K._bracket_pow(xi - root, -spec.l * p)
+                   + K._bracket_pow(xi + root, -spec.l * p)) * K._bracket_pow(root, -spec.k * p)
+            total += trapezoid(amp * table(base + y) / (2.0 * root), y)
+        pref = K._bracket_pow(np.asarray(s), -spec.c1 * p) * K._bracket_pow(
+            np.asarray(xi), spec.k * p)
+        return float(pref) * total
+    if xi == 0.0:
+        return 0.0
+    U = 2.0 * abs(xi) * R
+    u = np.linspace(-U, U, int(round(2.0 * U / h)) + 1)
+    xi2 = u / (2.0 * xi)
+    amp = K._bracket_pow(xi + xi2, -spec.k * p) * K._bracket_pow(xi2, -spec.k * p)
+    inner = trapezoid(amp * table(s + xi * xi + u), u) / (2.0 * abs(xi))
+    pref = (K._bracket_pow(np.asarray(s), -spec.c * p)
+            * K._bracket_pow(np.asarray(xi), spec.l * p) * abs(xi) ** p)
+    return float(pref) * inner
+
+
+# plain, the l condition broken as kernel-scan --violate l breaks it, and
+# a fast-decaying amplitude whose outer integrands fall below TINY_FLOOR
+LADDER_SPECS = {
+    "S/plain": CORNER_S, "S/violate": replace(CORNER_S, l=-0.75),
+    "S/floored": replace(CORNER_S, k=3.0, l=3.0),
+    "W/plain": CORNER_W, "W/violate": replace(CORNER_W, l=0.0),
+    "W/floored": replace(CORNER_W, k=3.0),
+}
+
+
+class TestRadiusLadder:
+    """A ladder call gives, at each radius, bitwise the single-radius call,
+    and that is bitwise the written-out quadrature (reference_mass)."""
+
+    SIGMAS = [-20.0, -1.0, 0.0, 2.25, 9.0]
+    LADDERS = {
+        "h0.25": (0.25, (2.0, 4.0, 8.0, 16.0)),
+        "quick": (0.5, (6.0, 12.0, 24.0, 48.0)),
+        "h0.3": (0.3, (1.25, 2.5, 5.0, 10.0)),
+        "below1": (0.25, (0.5, 0.75, 1.0, 3.0)),
+    }
+
+    @pytest.mark.parametrize("ladder", sorted(LADDERS))
+    @pytest.mark.parametrize("name", sorted(LADDER_SPECS))
+    def test_ladder_equals_single_radius_calls(self, name, ladder):
+        spec = LADDER_SPECS[name]
+        h, radii = self.LADDERS[ladder]
+        # xi = 0.5 and 1.5 put the bases off the 0.5-lattice (quick tier)
+        for xi in (0.0, 0.5, 1.5, 3.0):
+            pts = [(xi, s) for s in self.SIGMAS]
+            table = K._complete_table(spec, pts, radii[-1], h)
+            many = K.kernel_mass(spec, xi, self.SIGMAS, radii, h, table)
+            assert many.shape == (len(radii), len(self.SIGMAS))
+            for radius, row in zip(radii, many):
+                one = K.kernel_mass(spec, xi, self.SIGMAS, radius, h, table)
+                assert row.tobytes() == one.tobytes(), (xi, radius)
+                want = [reference_mass(spec, xi, s, radius, h, table)
+                        for s in self.SIGMAS]
+                assert one.tolist() == want, (xi, radius)
+
+    def test_tiny_floor_fires_on_the_outer_integrands(self, monkeypatch):
+        fired = []
+        floor = K._floor_tiny
+
+        def spy(vals):
+            fired.append(bool(vals.min() < K.TINY_FLOOR))
+            floor(vals)
+
+        monkeypatch.setattr(K, "_floor_tiny", spy)
+        for name in ("S/floored", "W/floored"):
+            fired.clear()
+            spec = LADDER_SPECS[name]
+            table = K._complete_table(spec, [(3.0, 0.0)], 16.0, 0.25)
+            for radii in ((1.0, 2.0), (4.0, 16.0)):
+                K.kernel_mass(spec, 3.0, [0.0, 9.0], radii, 0.25, table)
+            assert True in fired and False in fired, name
+
+    @pytest.mark.parametrize("h,y_groups,u_groups", [
+        (0.25, [[0, 1, 2, 3]], [[0, 1, 2, 3]]),
+        (0.5, [[0, 1, 2, 3]], [[0, 1, 2, 3]]),
+        # off the lattice, nodes nest only where linspace rounds alike
+        (0.3, [[2, 3], [1], [0]], [[3], [2], [1], [0]]),
+    ])
+    def test_lattice_nodes_nest(self, h, y_groups, u_groups):
+        radii = (1.25, 2.5, 5.0, 10.0) if h == 0.3 else (4.0, 8.0, 16.0, 32.0)
+        ys = {i: np.linspace(1.0, r * r, int(round((r * r - 1.0) / h)) + 1)
+              for i, r in enumerate(radii)}
+        us = {i: np.linspace(-6.0 * r, 6.0 * r, int(round(12.0 * r / h)) + 1)
+              for i, r in enumerate(radii)}
+        for sets, centred, groups in ((ys, False, y_groups), (us, True, u_groups)):
+            nested = K._nest(sets)
+            assert [sorted(spans) for _, spans in nested] == groups
+            for top, spans in nested:
+                for i, (lo, hi) in spans.items():
+                    assert top[lo:hi + 1].tobytes() == sets[i].tobytes()
+                    if centred:
+                        assert lo == len(top) - 1 - hi
+                    else:
+                        assert lo == 0
+
+    def test_wave_source_at_xi_zero_is_zero_at_every_radius(self):
+        masses = K.kernel_mass(CORNER_W, 0.0, self.SIGMAS, (1.0, 2.0), 0.25,
+                               K._complete_table(CORNER_W, [(0.0, 0.0)], 2.0, 0.25))
+        assert masses.shape == (2, len(self.SIGMAS)) and not masses.any()
+
+    def test_bad_ladders_raise(self):
+        table = K._complete_table(CORNER_S, [(1.0, 0.0)], 8.0, 0.25)
+        for radii in ((4.0, 2.0), (2.0, 2.0), (0.0, 2.0)):
+            with pytest.raises(K.KernelError):
+                K.kernel_mass(CORNER_S, 1.0, 0.0, radii, 0.25, table)
+        with pytest.raises(K.KernelError):  # a truncated table fits one radius
+            K.kernel_mass(CORNER_S, 1.0, 0.0, (4.0, 8.0), 0.25)
 
 
 class TestLatticeRead:
