@@ -1,8 +1,8 @@
 """zaklab: a verification laboratory for low-regularity well-posedness
 thresholds of the one-dimensional Zakharov system.
 
-Subpackages cover exact rational admissibility algebra (params), discrete
-hat-Sobolev and space-time restriction norms on periodic lattices (grids),
+Subpackages cover exact rational admissibility algebra (params), Fourier
+lattices with the discrete hat-Sobolev data norm and rough data (grids),
 quadrature certification of the trilinear kernel suprema (kernels), a
 pseudospectral integrator with empirical flow-map probes (solver), and a
 reproducible command-line front end (cli, reports).

@@ -262,6 +262,10 @@ def _kernel_point(args) -> tuple[params.ParamPoint, Fraction]:
 
 
 def cmd_kernel_scan(args) -> int:
+    if args.violate == "l" and args.family == "both":
+        raise kernels.KernelError(
+            "--violate l needs --family S or W: each family breaks its own l condition"
+        )
     tier = TIERS[args.tier]
     radius = args.r_max if args.r_max is not None else tier.kernel_radius
     resolution = (
@@ -276,7 +280,7 @@ def cmd_kernel_scan(args) -> int:
     l = pt.l
     violated_note = None
     if args.violate == "l":
-        if args.family in ("S", "both"):
+        if args.family == "S":
             l = -pt.inv_p - Fraction(1, 4)
             violated_note = "l >= -1/p broken by 1/4"
         else:
@@ -645,7 +649,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     s.add_argument("--r-max", type=positive_arg(float), default=None)
     s.add_argument("--resolution", type=positive_arg(float), default=None)
     s.add_argument("--violate", choices=["l"], default=None,
-                   help="probe with the l condition of the family broken")
+                   help="probe with the family's l condition broken "
+                        "(needs --family S or W)")
     s.set_defaults(func=cmd_kernel_scan)
 
     s = submap["trilinear-test"] = subs.add_parser(
@@ -702,18 +707,22 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, submap = build_parser()
-    if "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 >= len(argv):
+    at = next((i for i, a in enumerate(argv)
+               if a == "--config" or a.startswith("--config=")), None)
+    if at is not None:
+        # the path is joined (--config=FILE) or the next token
+        _, joined, path = argv[at].partition("=")
+        path_at = at if joined else at + 1
+        if path_at >= len(argv):
             parser.error("--config needs a path")
         try:
-            config = _load_config_file(argv[idx + 1])
+            config = _load_config_file(path if joined else argv[path_at])
         except (OSError, ValueError) as exc:
             parser.error(f"--config: {exc}")
         # right after the subcommand, so that explicit flags come later and
         # win; keys the subcommand does not take are left out
         command = next(
-            (i for i, a in enumerate(argv) if a in submap and i != idx + 1), None
+            (i for i, a in enumerate(argv) if a in submap and i != path_at), None
         )
         if command is not None:
             flags = submap[argv[command]].flags

@@ -90,45 +90,6 @@ def worker_count() -> int:
     return max(1, min(n, len(os.sched_getaffinity(0))))
 
 
-def complete_square_shift(
-    xi1p: float, xi2p: float, sign: str
-) -> tuple[float, float]:
-    """Shift (xi1', xi2') by -+1/2 so the linear |xi| term is absorbed:
-    xi1'^2 - xi2'^2 -+ |xi1' - xi2'| = xi1^2 - xi2^2 on each ordering
-    branch.  The shift direction depends on the sign choice and on the
-    ordering of the inputs."""
-    if sign not in SIGNS:
-        raise KernelError(f"sign must be one of {SIGNS} (got {sign!r})")
-    if sign == "minus":
-        shift = -0.5 if xi1p >= xi2p else 0.5
-    else:
-        shift = 0.5 if xi1p >= xi2p else -0.5
-    return xi1p + shift, xi2p + shift
-
-
-@dataclass(frozen=True)
-class ResonancePoint:
-    """A quadrature node in shifted variables; the resonance identity
-    z = sigma1 - sigma2 - sigma holds by construction."""
-
-    xi1: float
-    xi2: float
-    sigma1: float
-    sigma2: float
-
-    @property
-    def xi(self) -> float:
-        return self.xi1 - self.xi2
-
-    @property
-    def z(self) -> float:
-        return self.xi1 * self.xi1 - self.xi2 * self.xi2
-
-    @property
-    def sigma(self) -> float:
-        return self.sigma1 - self.sigma2 - self.z
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """Weight exponents for one kernel family.
@@ -137,7 +98,8 @@ class KernelSpec:
     c the one of the wave-source family; from_point derives them as
     1 - b1 - eps and 1 - b - eps.  After the completing-the-square shift
     the truncated-mass integrands are identical for the two sign choices,
-    so sign is carried for bookkeeping and for complete_square_shift.
+    so the masses ignore sign; it picks the wave symbol +-|xi| of the
+    trilinear probe's kernel.
     """
 
     family: str
@@ -618,18 +580,6 @@ def kernel_mass(
     return wave_source_mass(spec, outer1, outer2, R, resolution, table)
 
 
-def kernel_mass_refined(
-    spec: KernelSpec, outer1: float, outer2: float, R: float,
-    resolution: float = 0.25,
-) -> tuple[float, float, float]:
-    """Value at the working resolution and at half the step, plus their
-    relative difference, for convergence checks."""
-    coarse = kernel_mass(spec, outer1, outer2, R, resolution)
-    fine = kernel_mass(spec, outer1, outer2, R, resolution / 2.0)
-    denom = max(abs(fine), TINY_FLOOR)
-    return coarse, fine, abs(fine - coarse) / denom
-
-
 def _log_ladder(limit: float) -> list[float]:
     vals = [0.0]
     v = 1.0
@@ -969,143 +919,3 @@ def trilinear_probe(
         * _lp_norm(v2.modes, pp, mu)
     )
     return float(lhs), float(rhs)
-
-
-def near_extremal_triple(
-    shape: tuple[int, int],
-    box: tuple[float, float],
-    spec: KernelSpec,
-    rounds: int = 6,
-) -> tuple[GridFunction, GridFunction, GridFunction]:
-    """Construct (v, v1, v2) close to saturating the trilinear bound.
-
-    Seeds v and v2 with powered pullbacks of the kernel column of maximal
-    p-mass (tightening the inner Hoelder step there), then runs a few
-    alternating conjugate-exponent updates: each factor is replaced by the
-    exact maximizer of the trilinear form with the other two held fixed,
-    which drives the ratio toward the discrete kernel's extremal value.
-    """
-    zero = GridFunction(np.zeros(shape, dtype=complex), box)
-    p = spec.p
-    pp = p / (p - 1.0)
-    a1, b2, cd = _kernel_factors(spec, zero)
-    col = _cyclic_convolution(cd**p, b2**p).real
-    np.maximum(col, 0.0, out=col)
-    mass = a1**p * col
-    i0, j0 = np.unravel_index(int(np.argmax(mass)), shape)
-    n0, n1 = shape
-    I, J = np.meshgrid(np.arange(n0), np.arange(n1), indexing="ij")
-    pull_i, pull_j = (i0 - I) % n0, (j0 - J) % n1
-    k_col = a1[i0, j0] * b2 * cd[pull_i, pull_j]
-    power = p / (2.0 * pp)
-    v2m = k_col**power
-    vm = np.zeros(shape)
-    vm[pull_i, pull_j] = v2m
-
-    def _unit(a, expo):
-        nrm = np.sum(a**expo) ** (1.0 / expo)
-        return a if nrm == 0 else a / nrm
-
-    vm, v2m = _unit(vm, pp), _unit(v2m, pp)
-    v1m = np.zeros(shape)
-    for _ in range(rounds):
-        g1 = a1 * _cyclic_convolution(vm * cd, v2m * b2).real
-        np.maximum(g1, 0.0, out=g1)
-        v1m = _unit(g1 ** (pp / p), p)
-        g2 = b2 * _cyclic_correlation(v1m * a1, vm * cd).real
-        np.maximum(g2, 0.0, out=g2)
-        v2m = _unit(g2 ** (p / pp), pp)
-        gv = cd * _cyclic_correlation(v1m * a1, v2m * b2).real
-        np.maximum(gv, 0.0, out=gv)
-        vm = _unit(gv ** (p / pp), pp)
-    return (
-        GridFunction(vm.astype(complex), box),
-        GridFunction(v1m.astype(complex), box),
-        GridFunction(v2m.astype(complex), box),
-    )
-
-
-# --- auxiliary convolution inequality ----------------------------------------
-
-@dataclass(frozen=True)
-class ConvolutionCheckReport:
-    alpha: float
-    beta: float
-    a_values: tuple[float, ...]
-    lhs: tuple[float, ...]
-    ratios: tuple[float, ...]
-    constant_spread: float
-    peak_offset: float | None = None
-
-
-def _tail_integral(alpha: float, beta: float, a: float, h: float = 0.05) -> float:
-    span = max(8.0 * abs(a), 400.0)
-    s = np.arange(-span, span + h / 2, h)
-    vals = _bracket_pow(s - a, -alpha) * _bracket_pow(s, -beta)
-    return float(np.trapezoid(vals, s))
-
-
-def case_peak_profile(
-    sigma1: np.ndarray, xi1: float, k: float, l: float, p: float, eps: float = 0.01
-) -> np.ndarray:
-    """Profile of the y-integral whose supremum over sigma1 should land on
-    the resonance value xi1^2:
-
-        I(sigma1) = int_0^inf y^(-1/2) <y>^(-k p / 2)
-                    <sigma1 - xi1^2 + y>^(-1 + (k - l) p / 2 - eps) dy.
-    """
-    expo = -1.0 + (k - l) * p / 2.0 - eps
-    s1_arr = np.atleast_1d(np.asarray(sigma1, dtype=float))
-    out = np.empty_like(s1_arr)
-    ymax = xi1 * xi1 + 400.0
-    w = np.linspace(0.0, 1.0, 201)
-    y_lo = w * w
-    y_hi = np.arange(1.0, ymax, 0.1)
-    for i, s1 in enumerate(s1_arr):
-        shift = s1 - xi1 * xi1
-        f_lo = 2.0 * _bracket_pow(y_lo, -k * p / 2.0) * _bracket_pow(shift + y_lo, expo)
-        f_hi = (
-            y_hi ** (-0.5)
-            * _bracket_pow(y_hi, -k * p / 2.0)
-            * _bracket_pow(shift + y_hi, expo)
-        )
-        out[i] = np.trapezoid(f_lo, w) + np.trapezoid(f_hi, y_hi)
-    return out
-
-
-def weighted_convolution_check(
-    alpha: float,
-    beta: float,
-    a_values: Sequence[float],
-    peak_xi1: float | None = None,
-    peak_params: tuple[float, float, float] | None = None,
-) -> ConvolutionCheckReport:
-    """Verify int <s - a>^(-alpha) <s>^(-beta) ds <= C <a>^(-beta) with a
-    stable constant, and optionally locate the supremum of the associated
-    peak profile relative to the resonance value xi1^2."""
-    if not alpha > 1.0:
-        raise KernelError(f"needs alpha > 1 (got {alpha})")
-    if not (0.0 <= beta < 1.0):
-        raise KernelError(f"needs 0 <= beta < 1 (got {beta})")
-    lhs = tuple(_tail_integral(alpha, beta, a) for a in a_values)
-    ratios = tuple(
-        v / float(_bracket_pow(np.asarray(a), -beta))
-        for v, a in zip(lhs, a_values)
-    )
-    spread = max(ratios) / min(ratios)
-    peak_offset = None
-    if peak_xi1 is not None:
-        k, l, p = peak_params if peak_params is not None else (0.0, -0.5, 2.0)
-        target = peak_xi1 * peak_xi1
-        scan = np.arange(target - 40.0, target + 40.0 + 0.5, 0.5)
-        prof = case_peak_profile(scan, peak_xi1, k, l, p)
-        peak_offset = float(scan[int(np.argmax(prof))] - target)
-    return ConvolutionCheckReport(
-        alpha=alpha,
-        beta=beta,
-        a_values=tuple(float(a) for a in a_values),
-        lhs=lhs,
-        ratios=ratios,
-        constant_spread=float(spread),
-        peak_offset=peak_offset,
-    )

@@ -24,6 +24,11 @@ class ParamDomainError(ValueError):
     """An input violates a type invariant of the parameter algebra."""
 
 
+def _check_p(p: Fraction) -> None:
+    if not (1 < p <= 2):
+        raise ParamDomainError(f"p must satisfy 1 < p <= 2 (got {p})")
+
+
 def as_rational(x: RationalLike) -> Fraction:
     """Parse an exact rational.  Floats and decimal strings are rejected."""
     if isinstance(x, bool):
@@ -65,8 +70,7 @@ class ParamPoint:
     def __post_init__(self):
         for name in ("k", "l", "p", "b", "b1"):
             object.__setattr__(self, name, as_rational(getattr(self, name)))
-        if not (1 < self.p <= 2):
-            raise ParamDomainError(f"p must satisfy 1 < p <= 2 (got {self.p})")
+        _check_p(self.p)
         for name in ("b", "b1"):
             v = getattr(self, name)
             if not (self.inv_p < v <= 1):
@@ -226,19 +230,41 @@ def b1_feasibility_ceiling(l: RationalLike, p: RationalLike) -> Fraction:
     return min(Fraction(2, 3) * (l + 2) - q / 3, l / 4 + Fraction(3, 4) + q / 4)
 
 
-def _combine_bounds(candidates, kind):
-    # candidates: iterable of (value, inclusive); kind "lower" or "upper".
-    best_v, best_incl = None, None
-    for v, incl in candidates:
-        if best_v is None:
-            best_v, best_incl = v, incl
-            continue
-        better = v > best_v if kind == "lower" else v < best_v
-        if better:
-            best_v, best_incl = v, incl
-        elif v == best_v and not incl:
-            best_incl = False  # exclusive dominates at a tie
-    return best_v, best_incl
+def _rest(con: Constraint, k: Fraction, l: Fraction, q: Fraction) -> Fraction:
+    """The constraint's value at (k, l, 1/p) with its b and b1 terms left out."""
+    ck, cl, cq, _, _ = con.coeffs
+    return ck * k + cl * l + cq * q + con.const
+
+
+def _free_constraints_hold(constraints, k: Fraction, l: Fraction, q: Fraction) -> bool:
+    """Whether every constraint in neither b nor b1 holds at (k, l, 1/p)."""
+    for con in constraints:
+        _, _, _, cb, cb1 = con.coeffs
+        if not cb and not cb1:
+            rest = _rest(con, k, l, q)
+            if not (rest < 0 if con.strict else rest <= 0):
+                return False
+    return True
+
+
+def _window(constraints, coeff, k, l, q, free_hold: bool, ceiling) -> FeasibilityWindow:
+    """The interval of one variable v in (1/p, 1] at fixed (k, l, 1/p), cut
+    by each constraint in which v's coefficient coeff(con) is nonzero.  It
+    is empty unless free_hold: the constraints in neither b nor b1 hold."""
+    lowers = [(q, False)]
+    uppers = [(Fraction(1), True)]
+    for con in constraints:
+        cv = coeff(con)
+        if cv:
+            bound = -_rest(con, k, l, q) / cv
+            (uppers if cv > 0 else lowers).append((bound, not con.strict))
+    # the tightest bound is the end; at a tie an exclusive bound wins
+    lo = max(v for v, _ in lowers)
+    hi = min(v for v, _ in uppers)
+    lo_incl = all(incl for v, incl in lowers if v == lo)
+    hi_incl = all(incl for v, incl in uppers if v == hi)
+    nonempty = free_hold and (lo < hi or (lo == hi and lo_incl and hi_incl))
+    return FeasibilityWindow(lo, hi, lo_incl, hi_incl, nonempty, ceiling)
 
 
 def b_window(
@@ -248,35 +274,17 @@ def b_window(
 
     Every branch constraint is affine in beta = b = b1, so the window is an
     interval intersected with the type bounds (1/p, 1].  Constraints not
-    involving beta that fail make the window empty outright.
+    involving beta that fail make the window empty outright, (1/p, 1/p).
     """
     k, l, p = as_rational(k), as_rational(l), as_rational(p)
-    if not (1 < p <= 2):
-        raise ParamDomainError(f"p must satisfy 1 < p <= 2 (got {p})")
+    _check_p(p)
     q = 1 / p
     _, constraints = branch_constraints(k)
-    lowers = [(q, False)]
-    uppers = [(Fraction(1), True)]
     ceiling = b1_feasibility_ceiling(l, p)
-    empty = FeasibilityWindow(q, q, False, False, False, ceiling)
-    for con in constraints:
-        ck, cl, cq, cb, cb1 = con.coeffs
-        cbeta = cb + cb1
-        rest = ck * k + cl * l + cq * q + con.const
-        if cbeta == 0:
-            ok = rest < 0 if con.strict else rest <= 0
-            if not ok:
-                return empty
-        else:
-            bound = -rest / cbeta
-            if cbeta > 0:
-                uppers.append((bound, not con.strict))
-            else:
-                lowers.append((bound, not con.strict))
-    lo, lo_incl = _combine_bounds(lowers, "lower")
-    hi, hi_incl = _combine_bounds(uppers, "upper")
-    nonempty = lo < hi or (lo == hi and lo_incl and hi_incl)
-    return FeasibilityWindow(lo, hi, lo_incl, hi_incl, nonempty, ceiling)
+    if not _free_constraints_hold(constraints, k, l, q):
+        return FeasibilityWindow(q, q, False, False, False, ceiling)
+    return _window(constraints, lambda con: con.coeffs[3] + con.coeffs[4],
+                   k, l, q, True, ceiling)
 
 
 def b_window_2d(
@@ -285,41 +293,15 @@ def b_window_2d(
     """Per-variable (b, b1) windows; no branch constraint couples b and b1,
     so the full 2D feasible set is exactly their product."""
     k, l, p = as_rational(k), as_rational(l), as_rational(p)
-    if not (1 < p <= 2):
-        raise ParamDomainError(f"p must satisfy 1 < p <= 2 (got {p})")
+    _check_p(p)
     q = 1 / p
     _, constraints = branch_constraints(k)
-    out = []
-    for var in ("b", "b1"):
-        lowers = [(q, False)]
-        uppers = [(Fraction(1), True)]
-        empty_hit = False
-        for con in constraints:
-            ck, cl, cq, cb, cb1 = con.coeffs
-            if cb != 0 and cb1 != 0:
-                raise AssertionError("unexpected joint (b, b1) constraint")
-            cv = cb if var == "b" else cb1
-            rest = ck * k + cl * l + cq * q + con.const
-            other = cb1 if var == "b" else cb
-            if cv == 0:
-                if other == 0:
-                    ok = rest < 0 if con.strict else rest <= 0
-                    if not ok:
-                        empty_hit = True
-                continue
-            bound = -rest / cv
-            if cv > 0:
-                uppers.append((bound, not con.strict))
-            else:
-                lowers.append((bound, not con.strict))
-        lo, lo_incl = _combine_bounds(lowers, "lower")
-        hi, hi_incl = _combine_bounds(uppers, "upper")
-        nonempty = (not empty_hit) and (
-            lo < hi or (lo == hi and lo_incl and hi_incl)
-        )
-        ceiling = b1_feasibility_ceiling(l, p) if var == "b1" else None
-        out.append(FeasibilityWindow(lo, hi, lo_incl, hi_incl, nonempty, ceiling))
-    return out[0], out[1]
+    free_hold = _free_constraints_hold(constraints, k, l, q)
+    return (
+        _window(constraints, lambda con: con.coeffs[3], k, l, q, free_hold, None),
+        _window(constraints, lambda con: con.coeffs[4], k, l, q, free_hold,
+                b1_feasibility_ceiling(l, p)),
+    )
 
 
 @dataclass(frozen=True)
@@ -346,8 +328,7 @@ def minimal_k(l: RationalLike, p: RationalLike) -> MinimalK:
     Requires l >= -1/p (below that no point is admissible at any k).
     """
     l, p = as_rational(l), as_rational(p)
-    if not (1 < p <= 2):
-        raise ParamDomainError(f"p must satisfy 1 < p <= 2 (got {p})")
+    _check_p(p)
     q = 1 / p
     if l < -q:
         raise ParamDomainError(f"requires l >= -1/p (got l = {l}, -1/p = {-q})")
@@ -372,8 +353,7 @@ def scaling_exponents(
 ) -> tuple[Fraction, Fraction]:
     """Sobolev scaling exponents (sigma, lambda) = (k, l) - 1/p + 1/2."""
     k, l, p = as_rational(k), as_rational(l), as_rational(p)
-    if not (1 < p <= 2):
-        raise ParamDomainError(f"p must satisfy 1 < p <= 2 (got {p})")
+    _check_p(p)
     q = 1 / p
     half = Fraction(1, 2)
     return k - q + half, l - q + half

@@ -19,7 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import GridFunction, RoughDataSpec, from_samples, hat_norm, unit_rough_data
+from .grids import (
+    GridFunction, RoughDataSpec, dilate, from_samples, hat_norm, unit_rough_data,
+)
 
 
 class SolverError(ValueError):
@@ -425,8 +427,6 @@ def lifespan_probe(
     resolves the sped-up dynamics equally.  Reports the log-log slope of
     departure time against mu next to the reference slope -2.
     """
-    from .grids import dilate  # local import to keep module load light
-
     mus = tuple(sorted(mus))
     times: dict[float, float | None] = {}
     base_T = None

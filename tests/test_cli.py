@@ -213,6 +213,60 @@ def test_kernel_scan_payload_is_byte_identical(capsys, point, size, family,
         point, size, family, violate]
 
 
+CORNER, OPTIMAL = SCAN_POINTS["corner"], SCAN_POINTS["optimal"]
+COMMAND_ARGV = {
+    "admissible": ["admissible", *CORNER, "--b", "11/20", "--b1", "11/20"],
+    "admissible-boundary": ["admissible", "--k", "-1/12", "--l", "-7/12",
+                            "--p", "12/7", "--b", "3/4", "--b1", "3/4"],
+    "window-corner": ["window", *CORNER],
+    "window-optimal": ["window", *OPTIMAL],
+    # k >= 0 branch: l >= -1/p broken, then a window whose bounds cross
+    "window-empty-k0": ["window", "--k", "0", "--l", "-1", "--p", "2"],
+    "window-crossed-k0": ["window", "--k", "0", "--l", "-2/3", "--p", "3/2"],
+    # k < 0 branch: k >= -1/p broken
+    "window-empty-kneg": ["window", "--k", "-1", "--l", "-1/2", "--p", "2"],
+    # b1 >= (l+1-k)/2, inclusive, ties the exclusive type bound b1 > 1/p
+    "window-tie-k0": ["window", "--k", "1/2", "--l", "1/2", "--p", "2"],
+    "optimize": ["optimize"],
+    "optimize-line": ["optimize", "--l", "-1/2", "--fixed-p", "2"],
+    "scaling": ["scaling", *OPTIMAL],
+    "trilinear-test": ["trilinear-test", "--trials", "2", "--grid", "16"],
+    "simulate": ["simulate", "--tier", "quick", "--t-final", "0.1"],
+    "lipschitz": ["lipschitz", *CORNER, "--seeds", "2", "--tier", "quick",
+                  "--t-final", "0.05"],
+    "lifespan": ["lifespan", "--n", "128", "--dt", "1e-3", "--t-final", "0.2"],
+}
+COMMAND_PAYLOAD_SHA256 = {
+    "admissible": (0, "977b4192bb749cbd608f783d395afd95b646f659df4302460881e91bc8db4c99"),
+    "admissible-boundary": (1, "e6c8e458a38f526ff6df218bac460a15570f4cf9b0dd1d05e74e4e94a977ba76"),
+    "window-corner": (0, "8b5620f779982d308e9f33de50e49d20648cc44ab1dd44eba392124d30593387"),
+    "window-optimal": (0, "bcaf2c499c1d4b62df9aee37bce16f6894b199fcd5b36e756d5783217bb264da"),
+    "window-empty-k0": (0, "0e47d86fbfa9d795ddac3827a8b07ef524edac96fb1de8d0ecb4ce58820d34be"),
+    "window-crossed-k0": (0, "9c3722f6b6379daeea1d90ec405dd0df68488829b9ae335365faa381214e5b7e"),
+    "window-empty-kneg": (0, "977fdc0873a0721d230840b91145ac44b0ac4081b0e40a8f2a33363f762f2a27"),
+    "window-tie-k0": (0, "a20f0df38cc79cda034bac98f28ef1cdd279be18c18df24235d6ffe25a8224c6"),
+    "optimize": (0, "dd6bc1fe6b9a81d73746dc2c58be34d615f430ad1c8ae9c41a7ed4f37ce937bb"),
+    "optimize-line": (0, "70849092cecf7942a18e6d6f7755fd1f61bcebba7c1bf865a734791c57790cbe"),
+    "scaling": (0, "62394e6c14460358feb76f661b890218fc04dd7539e4100477b4560ff7251697"),
+    "trilinear-test": (0, "9a637bf01a59fb2b9cf6be15ecc114ae60012ee31f01638ee73e467fa0aa3a5a"),
+    "simulate": (0, "c56b875daf7b43eb2219a8672a356bed6a6580414ae84e1cf0dbd6a3300d44ec"),
+    "lipschitz": (0, "fc3e78509c9466761d813b789a18fc2c938f2a9505fd85faeb8eeaa4025d2702"),
+    "lifespan": (0, "5cdf955a835cd19ff7e8110d1faac352e4a0b97dd8eed9384d4441ed6425421b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_ARGV))
+def test_command_payload_is_byte_identical(capsys, name):
+    """The byte-identity contract for every command but kernel-scan, at small
+    settings: exit code and sha256 of the sorted-key JSON payload, pinned
+    before the b-window solvers were folded into one, with numpy 2.4.6
+    and scipy 1.17.1 (the solver payloads hold floats, whose last bits a
+    different build can move)."""
+    code, doc = run_json(capsys, *COMMAND_ARGV[name])
+    text = json.dumps(doc["payload"], sort_keys=True)
+    assert (code, hashlib.sha256(text.encode()).hexdigest()) == COMMAND_PAYLOAD_SHA256[name]
+
+
 class TestTrilinearCommand:
     def test_no_violations_exit_zero(self, capsys):
         code, doc = run_json(capsys, "trilinear-test", "--tier", "quick",
@@ -298,6 +352,9 @@ class TestLifespanCommand:
     ["lifespan", "--amplitude", "nan", "--n", "64", "--t-final", "0.01"],
     ["kernel-scan", "--k", "0", "--l", "-1/2", "--p", "2", "--tier", "quick",
      "--r-max", "nan"],
+    # each family breaks its own l condition, so --violate l takes one
+    ["kernel-scan", "--k", "0", "--l", "-1/2", "--p", "2", "--tier", "quick",
+     "--violate", "l"],
 ])
 def test_bad_input_is_one_stderr_line_and_exit_2(capsys, argv):
     try:
@@ -320,6 +377,15 @@ class TestConfigFile:
         code, doc = run_json(capsys, "--config", str(conf), "optimize",
                              "--l", "-7/12", "--fixed-p", "12/7")
         assert doc["payload"]["k_inf"] == "-1/12"
+
+    def test_joined_config_path(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("l = -1/2\nfixed_p = 2\n")
+        code, doc = run_json(capsys, f"--config={conf}", "optimize")
+        assert code == 0 and doc["payload"]["k_inf"] == "0"
+        conf.write_text("".join(f"{k} = {v}\n" for k, v in self.ADMISSIBLE.items()))
+        code, doc = run_json(capsys, f"--config={conf}", "admissible")
+        assert code == 0 and doc["config"] == self.ADMISSIBLE
 
     def test_json_config(self, capsys, tmp_path):
         conf = tmp_path / "run.json"
@@ -421,3 +487,38 @@ def test_fuzzed_argv_exits_0_1_or_2(argv):
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+
+
+CONFIG_KEYS = ["k", "l", "p", "b", "b1", "fixed_p", "fixed-p", "tier", "json",
+               "config", "no_such_key", ""]
+CONFIG_VALUES = st.one_of(
+    st.sampled_from(FUZZ_VALUES), st.none(), st.booleans(), st.integers(-3, 3),
+    st.floats(), st.lists(st.sampled_from(FUZZ_VALUES), max_size=3),
+)
+CONFIG_ENTRIES = st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES),
+                          max_size=6)
+# a JSON object, key=value lines, or any text
+CONFIG_TEXT = st.one_of(
+    CONFIG_ENTRIES.map(lambda kv: json.dumps(dict(kv))),
+    CONFIG_ENTRIES.map(lambda kv: "".join(f"{k} = {v}\n" for k, v in kv)),
+    st.text(max_size=40),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=CONFIG_TEXT, command=st.sampled_from(["admissible", "window", "scaling",
+                                                  "optimize"]),
+       joined=st.booleans())
+def test_fuzzed_config_file_exits_0_1_or_2(tmp_path_factory, text, command, joined):
+    conf = tmp_path_factory.mktemp("config") / "run.conf"
+    conf.write_text(text, encoding="utf-8")
+    argv = [f"--config={conf}"] if joined else ["--config", str(conf)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([*argv, command])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (text, argv, code)
+    assert "Traceback" not in err.getvalue()
+

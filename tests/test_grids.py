@@ -1,4 +1,4 @@
-"""Lattice transforms, discrete norms, rough data, dilation, Duhamel probe."""
+"""Lattice transforms, the data norm, rough data, dilation, snapshots."""
 
 import math
 
@@ -172,158 +172,6 @@ class TestDilate:
                 G.dilate(u, mu, 1.5)
 
 
-class TestSpacetimeNorm:
-    def test_single_mode_is_one(self):
-        m = np.zeros((16, 16), dtype=complex)
-        m[0, 0] = 1.0
-        f = G.GridFunction(m, (2 * np.pi, 2 * np.pi))
-        for disp in G.DISPERSIONS:
-            assert G.spacetime_norm(
-                f, G.WeightSpec(1.3, 0.7, disp), 2.0
-            ) == pytest.approx(1.0, rel=1e-12)
-
-    def test_dispersion_matters_unless_b_zero(self):
-        u0 = random_field(n=32, box=16.0, seed=2)
-        f = G.free_evolution(u0, "schroedinger", 256, 32.0, G.CutoffSpec(1.0))
-        with_disp = G.spacetime_norm(f, G.WeightSpec(0.0, 0.6, "schroedinger"), 2.0)
-        without = G.spacetime_norm(f, G.WeightSpec(0.0, 0.6, "none"), 2.0)
-        assert abs(with_disp - without) / with_disp > 1e-3
-        b0_a = G.spacetime_norm(f, G.WeightSpec(0.0, 0.0, "schroedinger"), 2.0)
-        b0_b = G.spacetime_norm(f, G.WeightSpec(0.0, 0.0, "none"), 2.0)
-        assert b0_a == pytest.approx(b0_b, rel=1e-12)
-
-    def test_free_evolution_constant_independent_of_data(self):
-        # |psi e^{it dxx} u0| in the (s, b) norm <= C |u0| with C data-free
-        consts = []
-        for seed in range(50):
-            u0 = random_field(n=32, box=16.0, seed=seed)
-            f = G.free_evolution(u0, "schroedinger", 512, 32.0, G.CutoffSpec(1.0))
-            c = G.spacetime_norm(f, G.WeightSpec(0.0, 0.6, "schroedinger"), 2.0)
-            consts.append(c / G.hat_norm(u0, 0.0, 2.0))
-        assert max(consts) / min(consts) < 2.0
-
-    def test_dims_mismatch(self):
-        with pytest.raises(G.GridError):
-            G.spacetime_norm(random_field(), G.WeightSpec(0.0, 0.5), 2.0)
-
-
-def single_mode_forcing(nx=32, nt=1024, lx=16.0, lt=16.0, ix=3, it=5):
-    xi = 2 * np.pi * np.fft.fftfreq(nx, lx / nx)
-    tau = 2 * np.pi * np.fft.fftfreq(nt, lt / nt)
-    x = -lx / 2 + np.arange(nx) * (lx / nx)
-    t = -lt / 2 + np.arange(nt) * (lt / nt)
-    field = np.exp(1j * xi[ix] * x)[:, None] * np.exp(1j * tau[it] * t)[None, :]
-    return G.from_samples(field, (lx, lt)), xi[ix], tau[it]
-
-
-class TestDuhamelProbe:
-    W = G.WeightSpec(0.0, 0.6, "schroedinger", b_prime=-0.1)
-
-    def test_zero_forcing(self):
-        f = G.GridFunction(np.zeros((32, 256), dtype=complex), (16.0, 16.0))
-        lhs, rhs = G.duhamel_cutoff_probe(f, self.W, 0.5, 2.0)
-        assert lhs == 0.0 and rhs == 0.0
-
-    def test_single_mode_constant_stable_across_delta(self):
-        f, _, _ = single_mode_forcing()
-        ratios = []
-        for delta in (1.0, 0.5, 0.25, 0.125):
-            lhs, rhs = G.duhamel_cutoff_probe(f, self.W, delta, 2.0)
-            ratios.append(lhs / rhs)
-        assert max(ratios) / min(ratios) < 3.0
-
-    def test_delta_exponent_identity_at_full_gain(self):
-        # with b = b' + 1 the delta prefactor is delta^0, so rhs is the
-        # plain forcing norm at every delta
-        f, _, _ = single_mode_forcing()
-        w = G.WeightSpec(0.0, 0.9, "schroedinger", b_prime=-0.1)
-        _, rhs1 = G.duhamel_cutoff_probe(f, w, 1.0, 2.0)
-        _, rhs2 = G.duhamel_cutoff_probe(f, w, 0.25, 2.0)
-        assert rhs1 == pytest.approx(rhs2, rel=1e-12)
-
-    def test_mode_solution_matches_closed_form(self):
-        # v_hat(t) = -e^{-i phi t}(e^{i(tau0+phi)t} - 1)/(tau0+phi), scaled
-        # by the lattice amplitude of the single mode
-        nx, nt, lx, lt = 32, 4096, 16.0, 16.0
-        f, xi0, tau0 = single_mode_forcing(nx, nt, lx, lt)
-        phi = xi0**2
-        t = G.time_axis(nt, lt)
-        fh = f.modes * G._center_phase(nt, 2, 1).conj()
-        ftime = np.fft.ifft(fh, axis=1) / (lt / nt)
-        integ = np.exp(1j * np.outer(G.dispersion_symbol("schroedinger",
-                                                         f.frequencies(0)), t)) * ftime
-        j0 = nt // 2
-        prim = np.zeros_like(integ)
-        inc = 0.5 * (integ[:, 1:] + integ[:, :-1]) * (lt / nt)
-        prim[:, j0 + 1:] = np.cumsum(inc[:, j0:], axis=1)
-        prim[:, :j0] = -np.cumsum(inc[:, :j0][:, ::-1], axis=1)[:, ::-1]
-        v = -1j * np.exp(-1j * np.outer(
-            G.dispersion_symbol("schroedinger", f.frequencies(0)), t)) * prim
-        amp = lx  # continuum-transform amplitude of the unit sample mode
-        jt = 3 * nt // 4
-        denom = tau0 + phi
-        oracle = -amp * np.exp(-1j * phi * t[jt]) * (
-            np.exp(1j * denom * t[jt]) - 1.0
-        ) / denom
-        assert abs(v[3, jt] - oracle) < 1e-4 * abs(oracle)
-
-    def test_modulation_spread_family_exposes_exponent(self):
-        # forcing spread over modulations up to 1/delta saturates the
-        # bound, so lhs/|F| scales like delta^(1+b'-b)
-        nx, nt, lx, lt = 16, 1024, 16.0, 32.0
-        xi = 2 * np.pi * np.fft.fftfreq(nx, lx / nx)
-        tau = 2 * np.pi * np.fft.fftfreq(nt, lt / nt)
-        w = self.W
-        slopes_x, slopes_y = [], []
-        for delta in (1.0, 0.5, 0.25, 0.125):
-            modes = np.zeros((nx, nt), dtype=complex)
-            for i in range(nx):
-                sig = tau + xi[i] ** 2
-                modes[i, np.abs(sig) <= 1.0 / delta] = 1.0
-            f = G.GridFunction(modes, (lx, lt))
-            lhs, _ = G.duhamel_cutoff_probe(f, w, delta, 2.0)
-            fnorm = G.spacetime_norm(
-                f, G.WeightSpec(w.s, w.b_prime, w.dispersion), 2.0
-            )
-            slopes_x.append(math.log(delta))
-            slopes_y.append(math.log(lhs / fnorm))
-        slope = np.polyfit(slopes_x, slopes_y, 1)[0]
-        assert abs(slope - (1.0 + w.b_prime - w.b)) < 0.15
-
-    def test_parameter_regime_validated(self):
-        f, _, _ = single_mode_forcing()
-        bad = G.WeightSpec(0.0, 0.6, "schroedinger", b_prime=0.2)
-        with pytest.raises(G.GridError, match="b'\\+1 >= b >= 0 >= b'"):
-            G.duhamel_cutoff_probe(f, bad, 0.5, 2.0)
-
-    def test_cutoff_shape(self):
-        t = np.linspace(-3, 3, 601)
-        psi = G.smooth_bump(t)
-        assert np.all(psi >= 0)
-        assert np.all(psi[np.abs(t) <= 1.0] == 1.0)
-        assert np.all(psi[np.abs(t) >= 2.0] == 0.0)
-        assert np.allclose(psi, psi[::-1])
-        with pytest.raises(G.GridError):
-            G.CutoffSpec(1.5)
-
-
-class TestEmbeddingSpotCheck:
-    def test_sup_in_time_bounded_by_spacetime_norm(self):
-        # b > 1/r: sample check only, constants stay moderate across draws
-        ratios = []
-        for seed in range(10):
-            u0 = random_field(n=32, box=16.0, seed=100 + seed)
-            f = G.free_evolution(u0, "schroedinger", 512, 32.0, G.CutoffSpec(1.0))
-            xnorm = G.spacetime_norm(f, G.WeightSpec(0.0, 0.6, "schroedinger"), 2.0)
-            samples = f.to_samples()
-            sup_t = max(
-                G.hat_norm(G.from_samples(samples[:, j], 16.0), 0.0, 2.0)
-                for j in range(0, 512, 16)
-            )
-            ratios.append(sup_t / xnorm)
-        assert max(ratios) / min(ratios) < 3.0
-
-
 class TestSerialization:
     def test_round_trip_and_stability(self, tmp_path):
         u = G.rough_data(G.RoughDataSpec(k=-0.1, p=1.5, n=64, seed=9))
@@ -356,3 +204,67 @@ class TestSerialization:
         G.save_grid(f, path)
         g = G.load_grid(path)
         assert np.array_equal(f.modes, g.modes) and g.dims == 2
+
+
+SNAPSHOT = [G.GRID_FORMAT_MAGIC, "dims 1", "shape 2", "box 6.25", "seed 3",
+            "provenance fuzz", "1.0 0.0", "0.5 -0.25"]
+
+
+def edited(at, line):
+    """SNAPSHOT with the line at index at replaced (None: cut from there)."""
+    return SNAPSHOT[:at] if line is None else [*SNAPSHOT[:at], line, *SNAPSHOT[at + 1:]]
+
+
+MALFORMED_SNAPSHOTS = {
+    "magic-line-alone": edited(1, None),
+    "dims-not-an-int": edited(1, "dims x"),
+    "box-not-finite": edited(3, "box inf"),
+    "seed-without-value": edited(4, "seed"),
+    "seed-not-an-int": edited(4, "seed 1.5"),
+    "no-provenance-line": edited(5, None),
+    "three-tokens-on-a-mode-line": edited(7, "0.5 -0.25 1"),
+    "mode-not-a-float": edited(7, "0.5 j"),
+}
+
+
+@pytest.mark.parametrize("lines", MALFORMED_SNAPSHOTS.values(), ids=MALFORMED_SNAPSHOTS)
+def test_malformed_snapshot_is_a_grid_error(tmp_path, lines):
+    path = tmp_path / "grid.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(G.GridError):
+        G.load_grid(path)
+
+
+SNAPSHOT_TOKENS = ["dims", "shape", "box", "seed", "provenance", "none", "0", "1",
+                   "2", "4", "-2", "1.5", "nan", "inf", "1e400", "x", ""]
+SNAPSHOT_LINE = (st.lists(st.sampled_from(SNAPSHOT_TOKENS), max_size=4).map(" ".join)
+                 | st.text(max_size=8))
+
+
+@st.composite
+def snapshot_text(draw):
+    """SNAPSHOT with up to three lines dropped, replaced or inserted."""
+    lines = list(SNAPSHOT)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        line = draw(st.none() | SNAPSHOT_LINE)
+        if line is None:
+            del lines[at:at + 1]
+        elif draw(st.booleans()):
+            lines[at:at + 1] = [line]
+        else:
+            lines.insert(at, line)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=snapshot_text())
+def test_fuzzed_snapshot_loads_or_raises_grid_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("snap") / "grid.txt"
+    path.write_text(text, encoding="utf-8")
+    try:
+        u = G.load_grid(path)
+    except G.GridError:
+        return
+    assert isinstance(u, G.GridFunction)
+

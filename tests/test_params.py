@@ -176,6 +176,12 @@ class TestBWindow:
                 ok = P.admissible(point(k, l, p, b, b1)).admissible
                 assert ok == (wb.contains(b) and wb1.contains(b1))
 
+    def test_no_constraint_couples_b_and_b1(self):
+        # b_window_2d solves for b and b1 apart, which rests on this
+        for con in P.CONSTRAINTS_K_NONNEG + P.CONSTRAINTS_K_NEG:
+            _, _, _, cb, cb1 = con.coeffs
+            assert not (cb and cb1), con.label
+
     def test_p_out_of_range(self):
         with pytest.raises(P.ParamDomainError):
             P.b_window(0, 0, F(5, 2))
