@@ -5,10 +5,10 @@ trilinear-test, simulate, lipschitz, lifespan.  Parameter-region commands
 take exact rational literals ("-1/12"); decimals are rejected there so
 exactness cannot silently degrade.  A config file (key=value lines or a
 JSON object) may supply flags, required ones included; explicit flags
-override it.  Kernel
-scans honor the ZAKLAB_WORKERS environment variable for data-parallel
-outer grids.  Reports go to stdout (--json) and/or JSON-lines files
-(--jsonl-out); series data is emitted as plain CSV (--csv-out).
+override it.  Kernel scans honor the ZAKLAB_WORKERS environment variable
+for data-parallel outer grids.  Reports go to stdout (--json) and/or
+JSON-lines files (--jsonl-out); series data is emitted as plain CSV
+(--csv-out).
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ def float_list_arg(text: str) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class Tier:
-    name: str
     kernel_radius: float
     kernel_resolution: float
     trilinear_trials: int
@@ -81,9 +80,9 @@ class Tier:
 
 
 TIERS = {
-    "quick": Tier("quick", 48.0, 0.5, 20, 128, 2e-3),
-    "standard": Tier("standard", 200.0, 0.25, 200, 256, 1e-3),
-    "thorough": Tier("thorough", 400.0, 0.125, 500, 512, 5e-4),
+    "quick": Tier(48.0, 0.5, 20, 128, 2e-3),
+    "standard": Tier(200.0, 0.25, 200, 256, 1e-3),
+    "thorough": Tier(400.0, 0.125, 500, 512, 5e-4),
 }
 
 
@@ -566,13 +565,14 @@ def _add_common(sub, required_rationals=(), optional_rationals=(), solver_opts=F
         sub.add_argument("--sample-stride", type=int, default=25)
 
 
-# a bare negative number such as -1/2 or -0.5, which argparse would take
-# for an option; main() joins it to the option before it, as --l=-1/2
-_NEGATIVE_VALUE = re.compile(r"^-\d+(\.\d+)?(/\d+)?$")
+# a bare negative value such as -1/2, -1e-2 or -1e-2,1e-3, which argparse
+# would take for an option; main() joins it to the option before it, as
+# --l=-1/2.  No zaklab option starts with a digit or a dot.
+_NEGATIVE_VALUE = re.compile(r"^-[\d.]")
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:
-    """argv with every bare negative number joined to the long option
+    """argv with every bare negative value joined to the long option
     before it (--l -7/12 becomes --l=-7/12)."""
     out = []
     for tok in argv:
@@ -659,7 +659,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     s.add_argument("--p-values",
                    type=lambda t: tuple(rational_arg(v) for v in t.split(",")),
                    default=(Fraction(3, 2), Fraction(12, 7), Fraction(2)))
-    s.add_argument("--trials", type=int, default=None)
+    s.add_argument("--trials", type=positive_arg(int), default=None)
     s.add_argument("--grid", type=int, default=64)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--family", choices=["S", "W"], default="S")
@@ -731,7 +731,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (params.ParamDomainError, grids.GridError, solver.SolverError,
-            kernels.KernelError) as exc:
+            kernels.KernelError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -77,12 +77,6 @@ class GridFunction:
             m = np.fft.ifft(m, axis=axis) * (n / dx) / n
         return m
 
-    def with_modes(self, modes: np.ndarray, provenance: str | None = None) -> GridFunction:
-        return GridFunction(
-            modes, self.box, self.seed,
-            self.provenance if provenance is None else provenance,
-        )
-
 
 def _center_phase(n: int, ndim: int, axis: int) -> np.ndarray:
     # exp(-i xi_n x_0) with x_0 = -L/2 equals (-1)^n exactly
@@ -105,15 +99,6 @@ def from_samples(samples: np.ndarray, box, seed=None, provenance="") -> GridFunc
     return GridFunction(m, box_t, seed=seed, provenance=provenance)
 
 
-def angular_weight(xi: np.ndarray, s: float, homogeneous: bool = False) -> np.ndarray:
-    if homogeneous:
-        with np.errstate(divide="ignore"):
-            w = np.abs(xi) ** s
-        w = np.where(xi == 0.0, 0.0, w)
-        return w
-    return (1.0 + xi * xi) ** (s / 2.0)
-
-
 def hat_norm(u: GridFunction, s: float, r: float, homogeneous: bool = False) -> float:
     """Discrete data norm: the l^{r'} sum of <xi>^s |u_hat| with measure dxi.
 
@@ -126,7 +111,11 @@ def hat_norm(u: GridFunction, s: float, r: float, homogeneous: bool = False) -> 
     rp = r / (r - 1.0)
     xi = u.frequencies(0)
     dxi = 2.0 * np.pi / u.box[0]
-    w = angular_weight(xi, s, homogeneous)
+    if homogeneous:
+        with np.errstate(divide="ignore"):
+            w = np.where(xi == 0.0, 0.0, np.abs(xi) ** s)
+    else:
+        w = (1.0 + xi * xi) ** (s / 2.0)
     return float(np.sum((w * np.abs(u.modes)) ** rp * dxi) ** (1.0 / rp))
 
 
@@ -136,20 +125,18 @@ class RoughDataSpec:
 
     Mode magnitudes follow <xi>^(-k - 1/p' - delta) with delta fixed at
     1/100, which keeps the (k, p) data norm finite on every grid while the
-    L^2 norm diverges once k - 1/p + 1/2 < 0 stays negative.
+    L^2 norm diverges once k - 1/p + 1/2 < 0 stays negative.  Phases are
+    uniform random, drawn from seed.
     """
 
     k: float
     p: float
     n: int
     seed: int
-    profile: str = "randomized_phase"
     box: float = 2.0 * np.pi
     hermitian: bool = False
 
     def __post_init__(self):
-        if self.profile not in ("randomized_phase", "deterministic_decay"):
-            raise GridError(f"unknown profile {self.profile!r}")
         _check_pow2(self.n)
 
 
@@ -158,12 +145,8 @@ def rough_data(spec: RoughDataSpec) -> GridFunction:
     pprime = spec.p / (spec.p - 1.0)
     xi = 2.0 * np.pi * np.fft.fftfreq(spec.n, d=spec.box / spec.n)
     mag = (1.0 + xi * xi) ** (-(spec.k + 1.0 / pprime + ROUGH_DECAY_MARGIN) / 2.0)
-    if spec.profile == "deterministic_decay":
-        phase = np.ones_like(mag, dtype=np.complex128)
-    else:
-        rng = np.random.default_rng(spec.seed)
-        phase = np.exp(2j * np.pi * rng.uniform(size=spec.n))
-    modes = mag * phase
+    rng = np.random.default_rng(spec.seed)
+    modes = mag * np.exp(2j * np.pi * rng.uniform(size=spec.n))
     if spec.hermitian:
         # u_hat(-xi) = conj(u_hat(xi)); zero and Nyquist modes forced real
         half = spec.n // 2
@@ -172,7 +155,7 @@ def rough_data(spec: RoughDataSpec) -> GridFunction:
         modes[half + 1:] = np.conj(modes[1:half][::-1])
     return GridFunction(
         modes, (spec.box,), seed=spec.seed,
-        provenance=f"rough k={spec.k} p={spec.p} profile={spec.profile}",
+        provenance=f"rough k={spec.k} p={spec.p}",
     )
 
 
@@ -180,7 +163,7 @@ def unit_rough_data(spec: RoughDataSpec) -> GridFunction:
     """Rough data rescaled to unit (k, p) norm."""
     u = rough_data(spec)
     nrm = hat_norm(u, spec.k, spec.p)
-    return u.with_modes(u.modes / nrm)
+    return GridFunction(u.modes / nrm, u.box, u.seed, u.provenance)
 
 
 def dilate(u: GridFunction, mu: float, amplitude_exp: float) -> GridFunction:

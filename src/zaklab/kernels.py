@@ -37,13 +37,17 @@ integrates sigma2 over the real line through a complete table (a lattice
 convolution near the origin, a closed form beyond) and adds the xi2
 remainder beyond R in closed form (tail_exponents, tail_mass).  Domains
 are nested across the radius ladder and the table depends only on its
-argument, so the xi2-truncated masses are monotone in the radius.  The
-xi2 nodes and amplitudes depend on the outer xi alone, not on sigma, so
-the mass functions take an array of sigma values, and a tuple of radii:
-kernel_sup's work items are per xi.  With a power-of-two step the y and
-u nodes and the offsets sigma -+ xi^2 lie on the table's h-lattice, and
-reading the table there is a slice that is bitwise equal to its
-interpolation (_ConvTable.at); only off-lattice arguments are
+argument, so the xi2-truncated masses are monotone in the radius.
+
+One kernel_mass serves both families; each fact that differs by family
+is written once: the xi2 nodes and amplitudes (_pieces), the outer weight
+(_prefactor, shared with tail_mass) and the sigma2 table's span
+(_complete_table).  The nodes and amplitudes depend on the outer xi
+alone, not on sigma, so kernel_mass takes an array of sigma values, and a
+tuple of radii: kernel_sup's work items are per xi.  With a power-of-two
+step the y and u nodes and the offsets sigma -+ xi^2 lie on the table's
+h-lattice, and reading the table there is a slice that is bitwise equal
+to its interpolation (_ConvTable.at); only off-lattice arguments are
 interpolated.  On that lattice a smaller radius's y nodes are a prefix,
 and its u nodes a centred sub-slice, of the largest radius's, so one
 integrand per sigma serves every radius whose nodes nest, and each
@@ -454,130 +458,110 @@ def _shaped(masses: list[list[float]], outer2, R) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def _truncated_table_radius(radii: tuple[float, ...]) -> float:
-    """The one radius a mass call without a table may have: the truncated
-    sigma2 table depends on the radius, so it is not shared by a ladder."""
-    if len(radii) > 1:
-        raise KernelError("a radius ladder needs a table")
-    return radii[0]
-
-
-def schrodinger_product_mass(
-    spec: KernelSpec,
-    xi1: float,
-    sigma1,
-    R,
-    resolution: float = 0.25,
-    table: _ConvTable | None = None,
-) -> float | np.ndarray:
-    """Truncated kernel mass of the Schroedinger-product family at the
-    outer pair (xi1, sigma1), integrated over [-R, R]^2 in (xi2, sigma2).
-    A table passed in replaces the sigma2 integral: kernel_sup passes the
-    complete one, which integrates sigma2 over the real line.
-
-    sigma1 may be an array: the xi2 nodes, their spacings and amplitudes
-    depend on xi1 only, so they are built once and each sigma1 costs one
-    table read and one trapezoid per node set.  R may be an ascending
-    tuple of radii when a table is given: the y nodes of a radius on the
-    table's lattice are a prefix of the largest radius's, so one integrand
-    per sigma1 serves every such radius.  The result has one axis per
-    array argument, radii first, and each entry is bitwise the scalar
-    call at that radius and sigma1 with the same table."""
-    if spec.family != FAMILY_SCHRODINGER_PRODUCT:
-        raise KernelError("spec.family must be 'S' here")
-    radii = _radii(R)
-    h = resolution
+def _complete_table(spec: KernelSpec, pts, R: float, h: float,
+                    sigma_radius: float = math.inf) -> _ConvTable:
+    """The sigma2 table covering every argument the masses at the outer
+    points pts reach with |xi2| <= R.  sigma2 runs over the real line
+    (the complete table), or over [-sigma_radius, sigma_radius]."""
     p = spec.p
-    sigmas = np.atleast_1d(np.asarray(sigma1, dtype=float)).tolist()
-    bases = [s - xi1 * xi1 for s in sigmas]
-    if table is None:
-        r = _truncated_table_radius(radii)
-        table = _conv_table(spec.b1 * p, spec.b * p, r, h,
-                            min(bases), max(bases) + r * r)
+    if spec.family == FAMILY_SCHRODINGER_PRODUCT:
+        bases = [s - x * x for x, s in pts]
+        return _conv_table(spec.b1 * p, spec.b * p, sigma_radius, h,
+                           min(bases), max(bases) + R * R)
+    centres = [s + x * x for x, s in pts]
+    span = 2.0 * max(abs(x) for x, _ in pts) * R
+    return _conv_table(spec.b1 * p, spec.b1 * p, sigma_radius, h,
+                       min(centres) - span, max(centres) + span)
 
+
+def _prefactor(spec: KernelSpec, outer1: float, outer2: float) -> float:
+    """The outer weight of spec's family at (outer1, outer2): <sigma1>^(-c1 p)
+    <xi1>^(k p) (S), or <sigma>^(-c p) <xi>^(l p) |xi|^p (W)."""
+    p = spec.p
+    if spec.family == FAMILY_SCHRODINGER_PRODUCT:
+        return _bracket_pow(outer2, -spec.c1 * p) * _bracket_pow(outer1, spec.k * p)
+    return (_bracket_pow(outer2, -spec.c * p) * _bracket_pow(outer1, spec.l * p)
+            * abs(outer1) ** p)
+
+
+def _pieces(spec: KernelSpec, xi: float, radii: tuple[float, ...], h: float,
+            table: _ConvTable) -> list[_Integrand]:
+    """The xi2 integrands of spec's family at the outer xi, one per nesting
+    group of the radii's node sets.  S: the patch |xi2| <= min(1, R), read
+    at y = xi2^2, then y = xi2^2 in [1, R^2], both signs of xi2 in one
+    amplitude, with divisor 2 sqrt(y) for d xi2 = dy / (2 sqrt(y)).  W:
+    u = 2 xi xi2 in [-2|xi|R, 2|xi|R]; kernel_mass divides by 2|xi|."""
+    p = spec.p
     pieces = []
+    if spec.family == FAMILY_WAVE_SOURCE:
+        us = {}
+        for i, r in enumerate(radii):
+            U = 2.0 * abs(xi) * r
+            us[i] = np.linspace(-U, U, int(round(2.0 * U / h)) + 1)
+        for u, spans in _nest(us):
+            xi2 = u / (2.0 * xi)
+            amp = _bracket_pow(xi + xi2, -spec.k * p) * _bracket_pow(xi2, -spec.k * p)
+            pieces.append(_Integrand(table, u, amp, spans))
+        return pieces
     patches = {}
     for i, r in enumerate(radii):
         w0 = min(1.0, r)
         patches[i] = np.linspace(-w0, w0, max(3, int(round(2.0 * w0 / h)) + 1))
     for xi2, spans in _nest(patches):
-        amp_in = _bracket_pow(xi1 - xi2, -spec.l * p) * _bracket_pow(xi2, -spec.k * p)
+        amp_in = _bracket_pow(xi - xi2, -spec.l * p) * _bracket_pow(xi2, -spec.k * p)
         pieces.append(_Integrand(table, xi2, amp_in, spans, args=xi2 * xi2))
     ys = {i: np.linspace(1.0, r * r, int(round((r * r - 1.0) / h)) + 1)
           for i, r in enumerate(radii) if r > 1.0}
     for y, spans in _nest(ys):
         root = np.sqrt(y)
         amp_out = (
-            _bracket_pow(xi1 - root, -spec.l * p)
-            + _bracket_pow(xi1 + root, -spec.l * p)
+            _bracket_pow(xi - root, -spec.l * p)
+            + _bracket_pow(xi + root, -spec.l * p)
         ) * _bracket_pow(root, -spec.k * p)
         pieces.append(_Integrand(table, y, amp_out, spans, divisor=2.0 * root))
-
-    prefs = [float(_bracket_pow(np.asarray(s), -spec.c1 * p)
-                   * _bracket_pow(np.asarray(xi1), spec.k * p)) for s in sigmas]
-    where = [f"(xi1, sigma1) = ({xi1}, {s})" for s in sigmas]
-    # a scale of 1.0 divides exactly
-    masses = _ladder_masses(pieces, bases, prefs, 1.0, len(radii), where)
-    return _shaped(masses, sigma1, R)
-
-
-def wave_source_mass(
-    spec: KernelSpec,
-    xi: float,
-    sigma,
-    R,
-    resolution: float = 0.25,
-    table: _ConvTable | None = None,
-) -> float | np.ndarray:
-    """Truncated kernel mass of the wave-source family at the outer pair
-    (xi, sigma), integrated over [-R, R]^2 in (xi2, sigma2) unless a table
-    replaces the sigma2 integral, as in schrodinger_product_mass, which
-    also describes an array sigma and a tuple of radii (here the u nodes
-    of a radius are a centred sub-slice of the largest radius's).  The
-    |xi|^p prefactor kills xi = 0 outright."""
-    if spec.family != FAMILY_WAVE_SOURCE:
-        raise KernelError("spec.family must be 'W' here")
-    radii = _radii(R)
-    sigmas = np.atleast_1d(np.asarray(sigma, dtype=float)).tolist()
-    if xi == 0.0:
-        return _shaped([[0.0] * len(sigmas) for _ in radii], sigma, R)
-    h = resolution
-    p = spec.p
-    axi = abs(xi)
-    centres = [s + xi * xi for s in sigmas]
-    if table is None:
-        r = _truncated_table_radius(radii)
-        U = 2.0 * axi * r
-        table = _conv_table(spec.b1 * p, spec.b1 * p, r, h,
-                            min(centres) - U, max(centres) + U)
-    us = {}
-    for i, r in enumerate(radii):
-        U = 2.0 * axi * r
-        us[i] = np.linspace(-U, U, int(round(2.0 * U / h)) + 1)
-    pieces = []
-    for u, spans in _nest(us):
-        xi2 = u / (2.0 * xi)
-        amp = _bracket_pow(xi + xi2, -spec.k * p) * _bracket_pow(xi2, -spec.k * p)
-        pieces.append(_Integrand(table, u, amp, spans))
-
-    prefs = [float(_bracket_pow(np.asarray(s), -spec.c * p)
-                   * _bracket_pow(np.asarray(xi), spec.l * p) * axi**p)
-             for s in sigmas]
-    where = [f"(xi, sigma) = ({xi}, {s})" for s in sigmas]
-    masses = _ladder_masses(pieces, centres, prefs, 2.0 * axi, len(radii), where)
-    return _shaped(masses, sigma, R)
+    return pieces
 
 
 def kernel_mass(
     spec: KernelSpec, outer1: float, outer2, R,
     resolution: float = 0.25, table: _ConvTable | None = None,
 ) -> float | np.ndarray:
-    """Mass of spec's family at (outer1, outer2) and radius R: a float for
-    a scalar outer2 and R, else one axis per sequence given, radii first
-    (an ascending tuple of radii needs a table)."""
-    if spec.family == FAMILY_SCHRODINGER_PRODUCT:
-        return schrodinger_product_mass(spec, outer1, outer2, R, resolution, table)
-    return wave_source_mass(spec, outer1, outer2, R, resolution, table)
+    """Truncated kernel mass of spec's family at the outer pair (outer1,
+    outer2), (xi1, sigma1) for S and (xi, sigma) for W, integrated over
+    [-R, R]^2 in (xi2, sigma2).  A table passed in replaces the sigma2
+    integral: kernel_sup passes the complete one (sigma2 over the real
+    line).  The W prefactor |xi|^p kills xi = 0.
+
+    outer2 may be an array: the xi2 nodes and amplitudes are built once,
+    and each outer2 costs one table read and one trapezoid per node set.
+    R may be an ascending tuple of radii when a table is given; one
+    integrand per outer2 then serves every radius whose nodes nest.  The
+    result is a float for scalar outer2 and R, else an array with one axis
+    per array argument, radii first; each entry is bitwise the scalar call
+    at that radius and outer2 with the same table."""
+    radii = _radii(R)
+    sigmas = np.atleast_1d(np.asarray(outer2, dtype=float)).tolist()
+    schrodinger = spec.family == FAMILY_SCHRODINGER_PRODUCT
+    if not schrodinger and outer1 == 0.0:
+        return _shaped([[0.0] * len(sigmas) for _ in radii], outer2, R)
+    if table is None:
+        # the truncated sigma2 table depends on the radius
+        if len(radii) > 1:
+            raise KernelError("a radius ladder needs a table")
+        table = _complete_table(spec, [(outer1, s) for s in sigmas], radii[0],
+                                resolution, sigma_radius=radii[0])
+    # the table argument at xi2 = 0: sigma1 - xi1^2 (S), sigma + xi^2 (W)
+    shift = -outer1 * outer1 if schrodinger else outer1 * outer1
+    # a scale of 1.0 divides exactly
+    scale = 1.0 if schrodinger else 2.0 * abs(outer1)
+    masses = _ladder_masses(
+        _pieces(spec, outer1, radii, resolution, table),
+        [s + shift for s in sigmas],
+        [_prefactor(spec, outer1, s) for s in sigmas],
+        scale, len(radii),
+        [f"(xi, sigma) = ({outer1}, {s})" for s in sigmas],
+    )
+    return _shaped(masses, outer2, R)
 
 
 def _log_ladder(limit: float) -> list[float]:
@@ -591,43 +575,28 @@ def _log_ladder(limit: float) -> list[float]:
     return vals
 
 
-@dataclass(frozen=True)
-class OuterGrid:
-    """Candidate outer pairs for the supremum, as a logarithmic ladder in
-    each variable plus alignment points on the resonance curves where the
-    dominant-modulation analysis puts the extrema."""
-
-    xi: tuple[float, ...]
-    sigma: tuple[float, ...]
-    family: str
-
-    @classmethod
-    def default(cls, family: str, R: float) -> OuterGrid:
-        xi = sorted(set(_log_ladder(R) + [0.5, 1.5]))
-        sig = sorted({s for v in _log_ladder(R) for s in (v, -v)})
-        return cls(tuple(xi), tuple(sig), family)
-
-    def points_at(self, radius: float) -> list[tuple[float, float]]:
-        xi_keep = [x for x in self.xi if x <= radius]
-        sig_keep = [s for s in self.sigma if abs(s) <= radius]
-        pts = []
-        for x in xi_keep:
-            res = x * x if self.family == FAMILY_SCHRODINGER_PRODUCT else -x * x
-            aligned = {res - 1.0, res, res + 1.0}
-            for s in list(sig_keep) + sorted(aligned):
-                pts.append((x, s))
-        seen, out = set(), []
-        for pt in pts:
-            if pt not in seen:
-                seen.add(pt)
-                out.append(pt)
-        return out
+# kernel_sup's radii as fractions of R, and the doubling-ratio thresholds
+# of its verdict (see SaturationDiagnostic)
+LADDER = (0.125, 0.25, 0.5, 1.0)
+SATURATING_FINAL_RATIO = 1.1
+DIVERGING_MIN_RATIO = 1.25
 
 
-@dataclass(frozen=True)
-class SaturationThresholds:
-    saturating_final_ratio: float = 1.1
-    diverging_min_ratio: float = 1.25
+def _outer_points(family: str, R: float, radius: float) -> list[tuple[float, float]]:
+    """Candidate outer pairs (xi, sigma) with xi, |sigma| <= radius, from a
+    logarithmic ladder of R in each variable plus alignment points on the
+    resonance curve sigma = xi^2 (S) or -xi^2 (W), where the
+    dominant-modulation analysis puts the extrema.  Grouped by ascending
+    xi; each xi's sigmas in ladder order, then the aligned ones."""
+    ladder = _log_ladder(R)
+    sig = [s for s in sorted({s for v in ladder for s in (v, -v)}) if abs(s) <= radius]
+    pts = []
+    for x in sorted(set(ladder + [0.5, 1.5])):
+        if x <= radius:
+            res = x * x if family == FAMILY_SCHRODINGER_PRODUCT else -x * x
+            aligned = sorted({res - 1.0, res, res + 1.0})
+            pts += [(x, s) for s in dict.fromkeys(sig + aligned)]
+    return pts
 
 
 def tail_exponents(spec: KernelSpec) -> tuple[float, ...]:
@@ -681,7 +650,6 @@ def tail_mass(spec: KernelSpec, outer1: float, outer2: float, R: float) -> float
         # amplitude |xi2|^(-(l+k)p), |a| = xi2^2
         terms = [(coeff, (spec.l + spec.k) * p + 2.0 * power - 1.0)
                  for coeff, power in _far_terms(spec.b1 * p, spec.b * p)]
-        pref = _bracket_pow(outer2, -spec.c1 * p) * _bracket_pow(outer1, spec.k * p)
     else:
         if outer1 == 0.0:
             return 0.0
@@ -689,12 +657,8 @@ def tail_mass(spec: KernelSpec, outer1: float, outer2: float, R: float) -> float
         e, scale = spec.b1 * p, 2.0 * abs(outer1)
         terms = [(coeff * scale ** (-power), 2.0 * spec.k * p + power - 1.0)
                  for coeff, power in _far_terms(e, e)]
-        pref = (
-            _bracket_pow(outer2, -spec.c * p)
-            * _bracket_pow(outer1, spec.l * p)
-            * abs(outer1) ** p
-        )
-    return pref * sum(2.0 * K * R ** (-rate) / rate for K, rate in terms)
+    return (_prefactor(spec, outer1, outer2)
+            * sum(2.0 * K * R ** (-rate) / rate for K, rate in terms))
 
 
 @dataclass(frozen=True)
@@ -710,9 +674,9 @@ class SaturationDiagnostic:
     doubling ratios of completed when present, else of values, and the
     verdict rests on them.  argmax holds the maximizers of values.
 
-    saturating: the final doubling ratio is at most the saturating
-    threshold.  diverging: every doubling ratio is at least the diverging
-    threshold.  Anything else is inconclusive.
+    saturating: the final doubling ratio is at most
+    SATURATING_FINAL_RATIO.  diverging: every doubling ratio is at least
+    DIVERGING_MIN_RATIO.  Anything else is inconclusive.
     """
 
     radii: tuple[float, ...]
@@ -735,12 +699,10 @@ class SaturationDiagnostic:
             raise KernelError("completed suprema must match values one to one")
 
 
-def _verdict(ratios: Sequence[float], th: SaturationThresholds) -> str:
-    if not ratios:
-        return "inconclusive"
-    if ratios[-1] <= th.saturating_final_ratio:
+def _verdict(ratios: Sequence[float]) -> str:
+    if ratios[-1] <= SATURATING_FINAL_RATIO:
         return "saturating"
-    if all(r >= th.diverging_min_ratio for r in ratios):
+    if all(r >= DIVERGING_MIN_RATIO for r in ratios):
         return "diverging"
     return "inconclusive"
 
@@ -755,30 +717,11 @@ def _doubling_ratios(values: Sequence[float]) -> list[float]:
     return ratios
 
 
-def _complete_table(spec: KernelSpec, pts, R: float, h: float) -> _ConvTable:
-    """Complete sigma2 table covering every argument the masses at the
-    outer points pts reach with |xi2| <= R."""
-    p = spec.p
-    if spec.family == FAMILY_SCHRODINGER_PRODUCT:
-        bases = [s - x * x for x, s in pts]
-        return _conv_table(spec.b1 * p, spec.b * p, math.inf, h,
-                           min(bases), max(bases) + R * R)
-    centres = [s + x * x for x, s in pts]
-    span = 2.0 * max(abs(x) for x, _ in pts) * R
-    return _conv_table(spec.b1 * p, spec.b1 * p, math.inf, h,
-                       min(centres) - span, max(centres) + span)
-
-
-def kernel_sup(
-    spec: KernelSpec,
-    R: float,
-    outer: OuterGrid | None = None,
-    resolution: float = 0.25,
-    ladder: tuple[float, ...] = (0.125, 0.25, 0.5, 1.0),
-    thresholds: SaturationThresholds = SaturationThresholds(),
-) -> SaturationDiagnostic:
-    """Supremum of the kernel mass over the outer grid, repeated on the
-    doubling radius ladder, with the saturation verdict.
+def kernel_sup(spec: KernelSpec, R: float,
+               resolution: float = 0.25) -> SaturationDiagnostic:
+    """Supremum of the kernel mass over the outer points (_outer_points),
+    repeated on the doubling radius ladder LADDER * R, with the saturation
+    verdict.
 
     The sigma2 integral runs over the real line through one complete
     convolution table; xi2 is truncated to [-R, R] for values and
@@ -798,10 +741,8 @@ def kernel_sup(
     exact maximum over each radius's outer points in a fixed order, hence
     identical results for any worker count (ZAKLAB_WORKERS).
     """
-    if outer is None:
-        outer = OuterGrid.default(spec.family, R)
-    radii = tuple(f * R for f in sorted(ladder))
-    top = outer.points_at(radii[-1])
+    radii = tuple(f * R for f in LADDER)
+    top = _outer_points(spec.family, R, radii[-1])
     table = _complete_table(spec, top, radii[-1], resolution)
     rates = tail_exponents(spec)
     complete = _tails_converge(rates)
@@ -826,7 +767,7 @@ def kernel_sup(
 
     values, argmaxes, completed = [], [], []
     for radius in radii:
-        pts = outer.points_at(radius)
+        pts = _outer_points(spec.family, R, radius)
         masses = [mass_at[radius][pt] for pt in pts]
         best = max(range(len(pts)), key=lambda i: masses[i])
         values.append(masses[best])
@@ -840,7 +781,7 @@ def kernel_sup(
         radii=radii,
         values=tuple(values),
         ratios=tuple(ratios),
-        verdict=_verdict(ratios, thresholds),
+        verdict=_verdict(ratios),
         argmax=tuple(argmaxes),
         resolution=resolution,
         completed=tuple(completed) if complete else None,

@@ -56,9 +56,7 @@ def as_rational(x: RationalLike) -> Fraction:
 class ParamPoint:
     """A parameter tuple (k, l, p, b, b1), validated on construction.
 
-    Invariants: 1 < p <= 2 and b, b1 in (1/p, 1].  Derived quantities:
-    p' = p/(p-1), and the dual modulation exponents c1 = 1 - b1 and
-    c = 1 - b (callers who need open slack subtract an explicit epsilon).
+    Invariants: 1 < p <= 2 and b, b1 in (1/p, 1].
     """
 
     k: Fraction
@@ -82,20 +80,6 @@ class ParamPoint:
     def inv_p(self) -> Fraction:
         return 1 / self.p
 
-    @property
-    def p_prime(self) -> Fraction:
-        return self.p / (self.p - 1)
-
-    @property
-    def c1(self) -> Fraction:
-        return 1 - self.b1
-
-    @property
-    def c(self) -> Fraction:
-        return 1 - self.b
-
-    def scaling_exponents(self) -> tuple[Fraction, Fraction]:
-        return scaling_exponents(self.k, self.l, self.p)
 
 
 @dataclass(frozen=True)
@@ -313,11 +297,6 @@ class MinimalK:
     k_inf: Fraction
     attained: bool
     bounds: tuple[tuple[str, Fraction], ...]
-
-    @property
-    def binding(self) -> tuple[str, ...]:
-        top = max(v for _, v in self.bounds)
-        return tuple(label for label, v in self.bounds if v == top)
 
 
 def minimal_k(l: RationalLike, p: RationalLike) -> MinimalK:

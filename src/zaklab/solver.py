@@ -23,6 +23,8 @@ from .grids import (
     GridFunction, RoughDataSpec, dilate, from_samples, hat_norm, unit_rough_data,
 )
 
+LIFESPAN_BUDGET_FACTOR = 4.0  # later lifespan budgets, in first departure times
+
 
 class SolverError(ValueError):
     pass
@@ -297,9 +299,7 @@ def plane_wave_solution(
 
 @dataclass(frozen=True)
 class LipschitzReport:
-    params: dict
     ratios: dict[int, dict[float, float | None]]
-    exact_matches: tuple[tuple[int, float], ...]
     stability: dict[int, float]
     truncations: tuple[tuple[int, float], ...]
 
@@ -374,7 +374,7 @@ def lipschitz_probe(
 
     blowup = _integrate(_spectral(data, cfg), cfg, compare)
     ratios: dict[int, dict[float, float | None]] = {}
-    exact, truncs = [], []
+    truncs = []
     stability: dict[int, float] = {}
     for seed, base, row in plan:
         if blowup[base] is not None:
@@ -384,7 +384,6 @@ def lipschitz_probe(
         for delta, j, _ in row:
             if j is None:
                 ratios[seed][delta] = None
-                exact.append((seed, delta))
                 continue
             if blowup[j] is not None:
                 truncs.append((seed, blowup[j]))
@@ -393,10 +392,7 @@ def lipschitz_probe(
         if finite:
             stability[seed] = max(finite) / min(finite) if min(finite) > 0 else math.inf
     return LipschitzReport(
-        params={"k": k, "l": l, "p": p, "amplitude": amplitude,
-                "deltas": list(deltas), "seeds": list(seeds)},
         ratios=ratios,
-        exact_matches=tuple(exact),
         stability=stability,
         truncations=tuple(truncs),
     )
@@ -404,7 +400,6 @@ def lipschitz_probe(
 
 @dataclass(frozen=True)
 class LifespanReport:
-    mus: tuple[float, ...]
     departure_times: dict[float, float | None]
     slope: float | None
     reference_slope: float
@@ -418,13 +413,13 @@ def lifespan_probe(
     n1: GridFunction,
     mus: tuple[float, ...],
     cfg: SolverConfig,
-    budget_factor: float = 4.0,
 ) -> LifespanReport:
     """Measure how the departure time scales under the focusing dilation.
 
     Data are dilated with amplitude exponents (3/2, 2, 4) for (u0, n0, n1)
     onto the box L/mu; time step and budget shrink by mu^-2 so each run
-    resolves the sped-up dynamics equally.  Reports the log-log slope of
+    resolves the sped-up dynamics equally (a run after the first gets
+    LIFESPAN_BUDGET_FACTOR times the first departure time).  Reports the log-log slope of
     departure time against mu next to the reference slope -2.
     """
     mus = tuple(sorted(mus))
@@ -439,7 +434,7 @@ def lifespan_probe(
             budget = cfg.t_final
             dt = cfg.dt
         else:
-            budget = budget_factor * base_T / scale
+            budget = LIFESPAN_BUDGET_FACTOR * base_T / scale
             dt = cfg.dt / scale
             budget = math.ceil(budget / dt) * dt
         run_cfg = replace(
@@ -463,18 +458,16 @@ def lifespan_probe(
         times[mu] = t_dep
         if base_T is None:
             if t_dep is None:
-                return LifespanReport(
-                    mus, times, None, -2.0, inconclusive=True
-                )
+                return LifespanReport(times, None, -2.0, inconclusive=True)
             base_T = t_dep
     observed = [(mu, t) for mu, t in times.items() if t is not None and mu > 0]
     if len(observed) < 2:
-        return LifespanReport(mus, times, None, -2.0, inconclusive=True)
+        return LifespanReport(times, None, -2.0, inconclusive=True)
     xs = np.log([mu for mu, _ in observed])
     ys = np.log([t for _, t in observed])
     slope = float(np.polyfit(xs, ys, 1)[0])
     return LifespanReport(
-        mus, times, slope, -2.0, inconclusive=len(observed) < len(mus)
+        times, slope, -2.0, inconclusive=len(observed) < len(mus)
     )
 
 

@@ -355,6 +355,9 @@ class TestLifespanCommand:
     # each family breaks its own l condition, so --violate l takes one
     ["kernel-scan", "--k", "0", "--l", "-1/2", "--p", "2", "--tier", "quick",
      "--violate", "l"],
+    # no trial certifies nothing
+    ["trilinear-test", "--trials", "0"],
+    ["trilinear-test", "--trials", "-3"],
 ])
 def test_bad_input_is_one_stderr_line_and_exit_2(capsys, argv):
     try:
@@ -364,6 +367,38 @@ def test_bad_input_is_one_stderr_line_and_exit_2(capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+SMALL_SOLVER = ["--tier", "quick", "--n", "64", "--t-final", "0.02"]
+WRITERS = {
+    "optimize --jsonl-out": ["optimize", "--jsonl-out"],
+    "simulate --csv-out": ["simulate", *SMALL_SOLVER, "--csv-out"],
+    "simulate --trace-out": ["simulate", *SMALL_SOLVER, "--trace-out"],
+    "simulate --snapshot-out": ["simulate", *SMALL_SOLVER, "--snapshot-out"],
+    "lipschitz --csv-out": ["lipschitz", "--k", "0", "--l", "-1/2", "--p", "2",
+                            "--seeds", "1", *SMALL_SOLVER, "--csv-out"],
+    "lifespan --csv-out": ["lifespan", "--mu", "1,2", "--n", "64", "--dt", "1e-3",
+                           "--t-final", "0.02", "--csv-out"],
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_unwritable_output_is_one_stderr_line_and_exit_2(capsys, tmp_path, writer):
+    code = cli.main([*WRITERS[writer], str(tmp_path / "missing" / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("zaklab: error:")
+
+
+@pytest.mark.parametrize("argv,key,value", [
+    (["simulate", *SMALL_SOLVER, "--amplitude", "-1e-2"], "amplitude", -0.01),
+    (["lipschitz", "--k", "0", "--l", "-1/2", "--p", "2", "--seeds", "1",
+      *SMALL_SOLVER, "--deltas", "-1e-2,1e-3"], "deltas", [-0.01, 0.001]),
+])
+def test_negative_values_with_an_exponent_parse(capsys, argv, key, value):
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    assert doc["config"][key] == value
 
 
 class TestConfigFile:

@@ -93,12 +93,6 @@ class TestRoughData:
         spec = G.RoughDataSpec(k=0.0, p=2.0, n=256, seed=7)
         assert np.array_equal(G.rough_data(spec).modes, G.rough_data(spec).modes)
 
-    def test_deterministic_decay_profile_is_real(self):
-        spec = G.RoughDataSpec(k=0.0, p=2.0, n=256, seed=7,
-                               profile="deterministic_decay")
-        samples = G.rough_data(spec).to_samples()
-        assert np.max(np.abs(samples.imag)) < 1e-12
-
     def test_hermitian_flag_gives_real_samples(self):
         spec = G.RoughDataSpec(k=-0.25, p=1.5, n=256, seed=3, hermitian=True)
         samples = G.rough_data(spec).to_samples()

@@ -80,29 +80,29 @@ def riemann_mass_w(spec, xi, sigma, R, h):
 
 class TestSchrodingerProductMass:
     def test_separable_point_against_riemann_oracle(self):
-        val = K.schrodinger_product_mass(SEPARABLE, 0.0, 0.0, 50.0, 0.25)
+        val = K.kernel_mass(SEPARABLE, 0.0, 0.0, 50.0, 0.25)
         oracle = riemann_mass_s(SEPARABLE, 0.0, 0.0, 50.0, 0.125)
         assert val == pytest.approx(oracle, rel=0.05)
 
     def test_vanishing_domain(self):
-        assert K.schrodinger_product_mass(SEPARABLE, 0.0, 0.0, 1e-3, 0.25) < 1e-3
+        assert K.kernel_mass(SEPARABLE, 0.0, 0.0, 1e-3, 0.25) < 1e-3
 
     def test_off_origin_against_riemann_oracle(self):
-        val = K.schrodinger_product_mass(CORNER_S, 4.0, 16.0, 25.0, 0.25)
+        val = K.kernel_mass(CORNER_S, 4.0, 16.0, 25.0, 0.25)
         oracle = riemann_mass_s(CORNER_S, 4.0, 16.0, 25.0, 0.0625)
         assert val == pytest.approx(oracle, rel=0.05)
 
     def test_monotone_in_radius(self):
         vals = [
-            K.schrodinger_product_mass(CORNER_S, 2.0, 0.0, R, 0.25)
+            K.kernel_mass(CORNER_S, 2.0, 0.0, R, 0.25)
             for R in (25.0, 50.0, 100.0, 200.0)
         ]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_sign_average_symmetry(self):
         for xi1, s1 in ((3.0, 5.0), (7.0, -2.0), (1.0, 0.0)):
-            a = K.schrodinger_product_mass(CORNER_S, xi1, s1, 50.0, 0.25)
-            b = K.schrodinger_product_mass(CORNER_S, -xi1, s1, 50.0, 0.25)
+            a = K.kernel_mass(CORNER_S, xi1, s1, 50.0, 0.25)
+            b = K.kernel_mass(CORNER_S, -xi1, s1, 50.0, 0.25)
             assert abs(a - b) <= 1e-10 * max(a, b)
 
     def test_coarse_outer_sup_saturates_on_doubling_ladder(self):
@@ -120,7 +120,7 @@ class TestSchrodingerProductMass:
             grid = [(x, s) for x in (0.0, 1.0, 4.0, 16.0)
                     for s in (0.0, 1.0, 16.0, x * x)]
             sups.append(max(
-                K.schrodinger_product_mass(spec, x, s, R, 0.25)
+                K.kernel_mass(spec, x, s, R, 0.25)
                 for x, s in grid
             ))
         assert sups[-1] / sups[-2] < 1.1
@@ -130,18 +130,14 @@ class TestSchrodingerProductMass:
         fine = K.kernel_mass(SEPARABLE, 0.0, 0.0, 50.0, 0.125)
         assert abs(fine - coarse) / fine < 0.01
 
-    def test_family_enforced(self):
-        with pytest.raises(K.KernelError):
-            K.schrodinger_product_mass(CORNER_W, 0.0, 0.0, 10.0)
-
 
 class TestWaveSourceMass:
     def test_zero_xi_vanishes(self):
         for sigma in (0.0, 3.0, -17.0):
-            assert K.wave_source_mass(CORNER_W, 0.0, sigma, 100.0) == 0.0
+            assert K.kernel_mass(CORNER_W, 0.0, sigma, 100.0) == 0.0
 
     def test_against_riemann_oracle(self):
-        val = K.wave_source_mass(CORNER_W, 1.5, 0.0, 25.0, 0.25)
+        val = K.kernel_mass(CORNER_W, 1.5, 0.0, 25.0, 0.25)
         oracle = riemann_mass_w(CORNER_W, 1.5, 0.0, 25.0, 0.0625)
         assert val == pytest.approx(oracle, rel=0.05)
 
@@ -151,8 +147,8 @@ class TestWaveSourceMass:
         # saturation verdict for the corner is covered in TestKernelSup
         spec = K.KernelSpec("W", "minus", k=0.0, l=-0.5, p=2.0,
                             b=0.625, b1=0.625, c=0.365)
-        v100 = K.wave_source_mass(spec, 1.0, 0.0, 100.0, 0.25)
-        v200 = K.wave_source_mass(spec, 1.0, 0.0, 200.0, 0.25)
+        v100 = K.kernel_mass(spec, 1.0, 0.0, 100.0, 0.25)
+        v200 = K.kernel_mass(spec, 1.0, 0.0, 200.0, 0.25)
         assert v200 / v100 < 1.15
 
     def test_growth_when_upper_l_condition_broken(self):
@@ -160,7 +156,7 @@ class TestWaveSourceMass:
         spec = K.KernelSpec("W", "minus", k=0.0, l=0.0, p=2.0,
                             b=0.55, b1=0.55, c=0.4)
         xs = (2.0, 4.0, 8.0, 16.0, 32.0)
-        vals = [K.wave_source_mass(spec, x, 0.0, 200.0, 0.25) for x in xs]
+        vals = [K.kernel_mass(spec, x, 0.0, 200.0, 0.25) for x in xs]
         slope = np.polyfit(np.log(xs), np.log(vals), 1)[0]
         assert slope > 0.2
 
@@ -604,11 +600,10 @@ class TestKernelSup:
             spec = replace(spec, l=-0.75 if family == "S" else 0.0)
         diag = K.kernel_sup(spec, R, resolution=h)
 
-        outer = K.OuterGrid.default(family, R)
-        table = K._complete_table(spec, outer.points_at(R), R, h)
+        table = K._complete_table(spec, K._outer_points(family, R, R), R, h)
         values, argmax, completed = [], [], []
         for radius in diag.radii:
-            pts = outer.points_at(radius)
+            pts = K._outer_points(family, R, radius)
             masses = [K.kernel_mass(spec, x, s, radius, h, table) for x, s in pts]
             best = max(range(len(pts)), key=lambda i: masses[i])
             values.append(masses[best])

@@ -29,10 +29,7 @@ class TestRationalParsing:
 class TestParamPoint:
     def test_derived_quantities(self):
         pt = point(0, F(-1, 2), 2, F(11, 20), F(11, 20))
-        assert pt.p_prime == F(2)
         assert pt.inv_p == F(1, 2)
-        assert pt.c1 == F(9, 20)
-        assert pt.c == F(9, 20)
 
     def test_p_out_of_range_names_invariant(self):
         with pytest.raises(P.ParamDomainError, match="1 < p <= 2"):
@@ -208,7 +205,6 @@ class TestMinimalK:
         mk = P.minimal_k(0, 2)
         assert mk.k_inf == F(1, 4)
         assert mk.attained
-        assert mk.binding == ("2k >= l+1-1/p",)
 
     def test_l_below_floor_rejected(self):
         with pytest.raises(P.ParamDomainError, match="l >= -1/p"):
@@ -250,10 +246,6 @@ class TestScalingExponents:
     )
     def test_p_two_reduces_to_identity(self, k, l):
         assert P.scaling_exponents(k, l, 2) == (k, l)
-
-    def test_point_method_delegates(self):
-        pt = point(0, F(-1, 2), 2, F(5, 8), F(5, 8))
-        assert pt.scaling_exponents() == (F(0), F(-1, 2))
 
 
 class TestSectionTwoReduction:
