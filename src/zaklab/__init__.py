@@ -9,3 +9,7 @@ reproducible command-line front end (cli, reports).
 """
 
 __version__ = "0.1.0"
+
+
+class ZaklabError(ValueError):
+    """Base of the library's domain errors, which the CLI reports with exit 2."""

@@ -3,12 +3,16 @@
 Subcommands: admissible, window, optimize, scaling, kernel-scan,
 trilinear-test, simulate, lipschitz, lifespan.  Parameter-region commands
 take exact rational literals ("-1/12"); decimals are rejected there so
-exactness cannot silently degrade.  A config file (key=value lines or a
-JSON object) may supply flags, required ones included; explicit flags
-override it.  Kernel scans honor the ZAKLAB_WORKERS environment variable
-for data-parallel outer grids.  Reports go to stdout (--json) and/or
-JSON-lines files (--jsonl-out); series data is emitted as plain CSV
-(--csv-out).
+exactness cannot silently degrade.  kernel-scan, trilinear-test, simulate
+and lipschitz take --tier, which sizes each of their flags left unset.  A
+config file (key=value lines or a JSON object) may supply flags, required
+ones included; explicit flags override it.  Kernel scans honor the
+ZAKLAB_WORKERS environment variable for data-parallel outer grids.
+
+Each command returns its exit code, configuration, payload, text lines
+and wall time.  main() alone builds the report, appends it to a JSON-lines
+file (--jsonl-out), and only then prints it (--json) or the text lines.
+Series data is emitted as plain CSV (--csv-out).
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, grids, kernels, params, solver
-from .reports import Report, jsonable, make_report, timer, write_csv, write_jsonl
+from . import ZaklabError, __version__, grids, kernels, params, solver
+from .reports import make_report, timer, write_csv, write_jsonl
 
 
 def rational_arg(text: str) -> Fraction:
@@ -35,16 +39,18 @@ def rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def positive_arg(kind):
-    """Argument type: a finite positive value of kind (int or float)."""
+def positive_arg(kind, zero_ok=False):
+    """Argument type: a finite positive value of kind (int or float), or a
+    non-negative one with zero_ok."""
 
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
-            value = 0
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"expected a positive {kind.__name__}: {text!r}")
+            value = math.nan
+        if not ((0 <= value if zero_ok else 0 < value) and value < math.inf):
+            word = "non-negative" if zero_ok else "positive"
+            raise argparse.ArgumentTypeError(f"expected a {word} {kind.__name__}: {text!r}")
         return value
 
     return parse
@@ -72,11 +78,13 @@ def float_list_arg(text: str) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class Tier:
-    kernel_radius: float
-    kernel_resolution: float
-    trilinear_trials: int
-    solver_n: int
-    solver_dt: float
+    """Per --tier, the defaults of the flags of the same names."""
+
+    r_max: float
+    resolution: float
+    trials: int
+    n: int
+    dt: float
 
 
 TIERS = {
@@ -121,38 +129,18 @@ def _config_tokens(config: dict, flags: set[str]) -> list[str]:
     return tokens
 
 
-def _emit(args, report: Report, human_lines: list[str]) -> None:
-    if not getattr(args, "json", False):
-        for line in human_lines:
-            print(line)
-    else:
-        print(report.to_json())
-    if getattr(args, "jsonl_out", None):
-        write_jsonl(report, args.jsonl_out)
+class Rejected(Exception):
+    """A kernel-scan point outside the parameter domain: main() prints
+    "rejected (...)" on stderr and exits 1, with no report."""
 
 
-def _point_from_args(args) -> params.ParamPoint:
-    return params.ParamPoint(args.k, args.l, args.p, args.b, args.b1)
-
-
-def _resolved(args, keys) -> dict:
-    out = {}
-    for key in keys:
-        val = getattr(args, key)
-        out[key] = str(val) if isinstance(val, Fraction) else val
-    return out
-
-
-def cmd_admissible(args) -> int:
-    cfg = _resolved(args, ("k", "l", "p", "b", "b1"))
+def cmd_admissible(args):
+    cfg = {"k": args.k, "l": args.l, "p": args.p, "b": args.b, "b1": args.b1}
     try:
-        pt = _point_from_args(args)
+        pt = params.ParamPoint(args.k, args.l, args.p, args.b, args.b1)
     except params.ParamDomainError as exc:
-        report = make_report(
-            "admissible", cfg, {"rejected": str(exc), "admissible": False}, 0.0
-        )
-        _emit(args, report, [f"rejected ({exc})"])
-        return 1
+        payload = {"rejected": str(exc), "admissible": False}
+        return 1, cfg, payload, [f"rejected ({exc})"], 0.0
     with timer() as tm:
         verdict = params.admissible(pt)
     lines = [f"branch: {verdict.branch}"]
@@ -163,16 +151,14 @@ def cmd_admissible(args) -> int:
     payload = {
         "admissible": verdict.admissible,
         "branch": verdict.branch,
-        "satisfied": list(verdict.satisfied),
-        "violated": list(verdict.violated),
-        "margins": {label: str(s) for label, s in verdict.margins},
+        "satisfied": verdict.satisfied,
+        "violated": verdict.violated,
+        "margins": dict(verdict.margins),
     }
-    _emit(args, make_report("admissible", cfg, payload, tm.elapsed), lines)
-    return 0 if verdict.admissible else 1
+    return 0 if verdict.admissible else 1, cfg, payload, lines, tm.elapsed
 
 
-def cmd_window(args) -> int:
-    cfg = _resolved(args, ("k", "l", "p"))
+def cmd_window(args):
     with timer() as tm:
         win = params.b_window(args.k, args.l, args.p)
         win_b, win_b1 = params.b_window_2d(args.k, args.l, args.p)
@@ -186,14 +172,12 @@ def cmd_window(args) -> int:
         f"b1 window: {fmt(win_b1)}",
         f"b1 feasibility ceiling over all k: {win.ceiling_b1}",
     ]
-    payload = {"diagonal": jsonable(win), "b": jsonable(win_b), "b1": jsonable(win_b1)}
-    _emit(args, make_report("window", cfg, payload, tm.elapsed), lines)
-    return 0
+    cfg = {"k": args.k, "l": args.l, "p": args.p}
+    return 0, cfg, {"diagonal": win, "b": win_b, "b1": win_b1}, lines, tm.elapsed
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args):
     if args.l is not None and args.fixed_p is not None:
-        cfg = {"l": str(args.l), "fixed_p": str(args.fixed_p)}
         with timer() as tm:
             mk = params.minimal_k(args.l, args.fixed_p)
         lines = [
@@ -201,14 +185,9 @@ def cmd_optimize(args) -> int:
             + ("  (attained)" if mk.attained else "  (not attained)"),
         ]
         lines += [f"  bound {label}: 2k >= {v}" for label, v in mk.bounds]
-        payload = {
-            "k_inf": str(mk.k_inf),
-            "attained": mk.attained,
-            "bounds": {label: str(v) for label, v in mk.bounds},
-        }
-        _emit(args, make_report("optimize", cfg, payload, tm.elapsed), lines)
-        return 0
-    cfg = {}
+        cfg = {"l": args.l, "fixed_p": args.fixed_p}
+        payload = {"k_inf": mk.k_inf, "attained": mk.attained, "bounds": dict(mk.bounds)}
+        return 0, cfg, payload, lines, tm.elapsed
     with timer() as tm:
         opt = params.optimal_parameters()
     lines = [
@@ -220,61 +199,43 @@ def cmd_optimize(args) -> int:
         f"all lower bounds for 2k coincide: {opt.bounds_coincide}",
     ]
     payload = {
-        "p_star": str(opt.p_star),
-        "l_star": str(opt.l_star),
-        "k_inf": str(opt.k_inf),
-        "ceiling_b1": str(opt.ceiling_b1),
-        "sigma": str(opt.sigma),
-        "lambda": str(opt.lam),
+        "p_star": opt.p_star,
+        "l_star": opt.l_star,
+        "k_inf": opt.k_inf,
+        "ceiling_b1": opt.ceiling_b1,
+        "sigma": opt.sigma,
+        "lambda": opt.lam,
         "bounds_coincide": opt.bounds_coincide,
-        "two_k_bounds": {label: str(v) for label, v in opt.two_k_bounds},
+        "two_k_bounds": dict(opt.two_k_bounds),
     }
-    _emit(args, make_report("optimize", cfg, payload, tm.elapsed), lines)
-    return 0
+    return 0, {}, payload, lines, tm.elapsed
 
 
-def cmd_scaling(args) -> int:
-    cfg = _resolved(args, ("k", "l", "p"))
+def cmd_scaling(args):
     with timer() as tm:
         sigma, lam = params.scaling_exponents(args.k, args.l, args.p)
+    cfg = {"k": args.k, "l": args.l, "p": args.p}
     lines = [f"sigma = {sigma}", f"lambda = {lam}"]
-    payload = {"sigma": str(sigma), "lambda": str(lam)}
-    _emit(args, make_report("scaling", cfg, payload, tm.elapsed), lines)
-    return 0
+    return 0, cfg, {"sigma": sigma, "lambda": lam}, lines, tm.elapsed
 
 
-def _kernel_point(args) -> tuple[params.ParamPoint, Fraction]:
-    """Resolve the scan point; b = b1 defaults to mid-window."""
-    eps = args.eps
-    if args.b is None or args.b1 is None:
-        win = params.b_window(args.k, args.l, args.p)
-        if not win.nonempty:
-            raise params.ParamDomainError(
-                f"empty b window at (k, l, p) = ({args.k}, {args.l}, {args.p})"
-            )
-        mid = (win.lower + win.upper) / 2
-        b = args.b if args.b is not None else mid
-        b1 = args.b1 if args.b1 is not None else mid
-    else:
-        b, b1 = args.b, args.b1
-    return params.ParamPoint(args.k, args.l, args.p, b, b1), eps
-
-
-def cmd_kernel_scan(args) -> int:
+def cmd_kernel_scan(args):
     if args.violate == "l" and args.family == "both":
         raise kernels.KernelError(
             "--violate l needs --family S or W: each family breaks its own l condition"
         )
-    tier = TIERS[args.tier]
-    radius = args.r_max if args.r_max is not None else tier.kernel_radius
-    resolution = (
-        args.resolution if args.resolution is not None else tier.kernel_resolution
-    )
+    # an unset b or b1 is the middle of the b = b1 window
+    b, b1 = args.b, args.b1
     try:
-        pt, eps = _kernel_point(args)
+        if b is None or b1 is None:
+            win = params.b_window(args.k, args.l, args.p)
+            if not win.nonempty:
+                raise Rejected(f"empty b window at (k, l, p) = ({args.k}, {args.l}, {args.p})")
+            mid = (win.lower + win.upper) / 2
+            b, b1 = (mid if b is None else b), (mid if b1 is None else b1)
+        pt = params.ParamPoint(args.k, args.l, args.p, b, b1)
     except params.ParamDomainError as exc:
-        print(f"rejected ({exc})", file=sys.stderr)
-        return 1
+        raise Rejected(exc) from None
     verdict = params.admissible(pt)
     l = pt.l
     violated_note = None
@@ -288,27 +249,19 @@ def cmd_kernel_scan(args) -> int:
     families = ["S", "W"] if args.family == "both" else [args.family]
     signs = ["plus", "minus"] if args.sign == "both" else [args.sign]
     cfg = {
-        **_resolved(args, ("k", "p")),
-        "l": str(l),
-        "b": str(pt.b),
-        "b1": str(pt.b1),
-        "eps": str(eps),
-        "family": args.family,
-        "sign": args.sign,
-        "tier": args.tier,
-        "radius": radius,
-        "resolution": resolution,
-        "violate": args.violate,
+        "k": args.k, "l": l, "p": args.p, "b": pt.b, "b1": pt.b1, "eps": args.eps,
+        "family": args.family, "sign": args.sign, "tier": args.tier,
+        "radius": args.r_max, "resolution": args.resolution, "violate": args.violate,
     }
     lines = []
     results = {}
     with timer() as tm:
         for fam in families:
             # the masses do not depend on the sign: one scan serves both
-            spec = kernels.KernelSpec.from_point(pt, fam, signs[0], eps=float(eps))
+            spec = kernels.KernelSpec.from_point(pt, fam, signs[0], eps=float(args.eps))
             if args.violate:
                 spec = replace(spec, l=float(l))
-            diag = kernels.kernel_sup(spec, radius, resolution=resolution)
+            diag = kernels.kernel_sup(spec, args.r_max, resolution=args.resolution)
             completed = (
                 "none" if diag.completed is None
                 else ['%.4g' % v for v in diag.completed]
@@ -326,36 +279,29 @@ def cmd_kernel_scan(args) -> int:
     payload = {
         "admissible_point": verdict.admissible,
         "violated_note": violated_note,
-        "diagnostics": {key: jsonable(diag) for key, diag in results.items()},
+        "diagnostics": results,
     }
-    report = make_report("kernel-scan", cfg, payload, tm.elapsed)
-    verdicts = [diag.verdict for diag in results.values()]
-    if any(v == "inconclusive" for v in verdicts):
+    verdicts = {diag.verdict for diag in results.values()}
+    saturated = verdicts == {"saturating"} and verdict.admissible and not args.violate
+    if "inconclusive" in verdicts:
         lines.append("inconclusive: raise the tier (or --r-max) and rerun")
-        _emit(args, report, lines)
-        return 2
-    _emit(args, report, lines)
-    if all(v == "saturating" for v in verdicts) and verdict.admissible and not args.violate:
-        return 0
-    return 1
+    code = 2 if "inconclusive" in verdicts else 0 if saturated else 1
+    return code, cfg, payload, lines, tm.elapsed
 
 
-def cmd_trilinear_test(args) -> int:
-    tier = TIERS[args.tier]
-    trials = args.trials if args.trials is not None else tier.trilinear_trials
-    p_values = args.p_values
+def cmd_trilinear_test(args):
     rng = np.random.default_rng(args.seed)
     box = (2.0 * np.pi, 2.0 * np.pi)
     shape = (args.grid, args.grid)
     cfg = {
-        "tier": args.tier, "trials": trials, "grid": args.grid,
-        "seed": args.seed, "p_values": [str(p) for p in p_values],
+        "tier": args.tier, "trials": args.trials, "grid": args.grid,
+        "seed": args.seed, "p_values": args.p_values,
         "family": args.family, "sign": args.sign,
     }
     violations = []
     worst = 0.0
     with timer() as tm:
-        for p in p_values:
+        for p in args.p_values:
             pf = float(p)
             spec = kernels.KernelSpec(
                 family=args.family, sign=args.sign, k=0.0, l=-0.5, p=pf,
@@ -363,7 +309,7 @@ def cmd_trilinear_test(args) -> int:
                 c1=1.0 - (1.0 / pf + 0.05) - 0.01,
                 c=1.0 - (1.0 / pf + 0.05) - 0.01,
             )
-            for t in range(trials):
+            for t in range(args.trials):
                 triple = [
                     grids.GridFunction(rng.uniform(size=shape), box)
                     for _ in range(3)
@@ -372,49 +318,35 @@ def cmd_trilinear_test(args) -> int:
                 ratio = lhs / rhs if rhs > 0 else 0.0
                 worst = max(worst, ratio)
                 if lhs > rhs * (1.0 + 1e-6):
-                    violations.append({"p": str(p), "trial": t, "lhs": lhs, "rhs": rhs})
+                    violations.append({"p": p, "trial": t, "lhs": lhs, "rhs": rhs})
     lines = [
-        f"{trials} trials per p over p in {[str(p) for p in p_values]}: "
+        f"{args.trials} trials per p over p in {[str(p) for p in args.p_values]}: "
         f"{len(violations)} violations, worst lhs/rhs = {worst:.4f}"
     ]
     payload = {"violations": violations, "worst_ratio": worst}
-    _emit(args, make_report("trilinear-test", cfg, payload, tm.elapsed), lines)
-    return 0 if not violations else 1
+    return 0 if not violations else 1, cfg, payload, lines, tm.elapsed
 
 
-def _simulate_data(args, cfg: solver.SolverConfig):
+def cmd_simulate(args):
+    cfg = solver.SolverConfig(
+        n=args.n, box=args.box, dt=args.dt, t_final=args.t_final,
+        regularized=not args.unregularized, sample_stride=args.sample_stride,
+    )
+    conf = {
+        "preset": args.preset, "n": args.n, "box": args.box, "dt": args.dt,
+        "t_final": args.t_final, "regularized": cfg.regularized,
+        "amplitude": args.amplitude, "tier": args.tier,
+    }
     x = -cfg.box / 2 + np.arange(cfg.n) * (cfg.box / cfg.n)
+    kappa = 2.0 * np.pi * 4 / cfg.box
     if args.preset == "plane-wave":
-        kappa = 2.0 * np.pi * 4 / cfg.box
         u0 = args.amplitude * np.exp(1j * kappa * x)
-        n0 = np.ones(cfg.n)
-        n1 = np.zeros(cfg.n)
-        extras = {"kappa": kappa, "nu": 1.0}
-    elif args.preset == "gaussian":
+        n0, n1 = np.ones(cfg.n), np.zeros(cfg.n)
+    else:
         u0 = args.amplitude * np.exp(-(x**2) / 2.0) * (1.0 + 0.3j)
         n0 = -np.abs(u0) ** 2
         n1 = args.amplitude * x * np.exp(-(x**2) / 3.0)
         n1 = n1 - n1.mean()
-        extras = {}
-    else:
-        raise ValueError(f"unknown preset {args.preset!r}")
-    return u0, n0, n1, extras
-
-
-def cmd_simulate(args) -> int:
-    tier = TIERS[args.tier]
-    n = args.n if args.n is not None else tier.solver_n
-    dt = args.dt if args.dt is not None else tier.solver_dt
-    cfg = solver.SolverConfig(
-        n=n, box=args.box, dt=dt, t_final=args.t_final,
-        regularized=not args.unregularized, sample_stride=args.sample_stride,
-    )
-    conf = {
-        "preset": args.preset, "n": n, "box": args.box, "dt": dt,
-        "t_final": args.t_final, "regularized": cfg.regularized,
-        "amplitude": args.amplitude, "tier": args.tier,
-    }
-    u0, n0, n1, extras = _simulate_data(args, cfg)
     with timer() as tm:
         trace = solver.evolve(u0, n0, n1, cfg)
     mass = trace.series["mass"]
@@ -430,10 +362,7 @@ def cmd_simulate(args) -> int:
         f"mass drift = {payload['mass_drift']:.3e}",
     ]
     if args.preset == "plane-wave" and not trace.truncated:
-        x = -cfg.box / 2 + np.arange(cfg.n) * (cfg.box / cfg.n)
-        exact = solver.plane_wave_solution(
-            args.amplitude, extras["kappa"], extras["nu"], x, trace.times[-1]
-        )
+        exact = solver.plane_wave_solution(args.amplitude, kappa, 1.0, x, trace.times[-1])
         err = float(np.max(np.abs(trace.final_state.u - exact)))
         payload["plane_wave_error"] = err
         lines.append(f"closed-form error = {err:.3e}")
@@ -459,22 +388,19 @@ def cmd_simulate(args) -> int:
             grids.from_samples(trace.final_state.u, cfg.box), args.snapshot_out
         )
         lines.append(f"final u snapshot written to {args.snapshot_out}")
-    _emit(args, make_report("simulate", conf, payload, tm.elapsed), lines)
-    return 0
+    return 0, conf, payload, lines, tm.elapsed
 
 
-def cmd_lipschitz(args) -> int:
-    tier = TIERS[args.tier]
-    n = args.n if args.n is not None else tier.solver_n
-    dt = args.dt if args.dt is not None else tier.solver_dt
+def cmd_lipschitz(args):
     cfg = solver.SolverConfig(
-        n=n, box=args.box, dt=dt, t_final=args.t_final, sample_stride=args.sample_stride
+        n=args.n, box=args.box, dt=args.dt, t_final=args.t_final,
+        sample_stride=args.sample_stride,
     )
     seeds = tuple(range(1, args.seeds + 1))
     conf = {
-        **_resolved(args, ("k", "l", "p")),
-        "amplitude": args.amplitude, "deltas": list(args.deltas),
-        "seeds": args.seeds, "n": n, "dt": dt, "box": args.box,
+        "k": args.k, "l": args.l, "p": args.p,
+        "amplitude": args.amplitude, "deltas": args.deltas,
+        "seeds": args.seeds, "n": args.n, "dt": args.dt, "box": args.box,
         "t_final": args.t_final, "tier": args.tier,
     }
     with timer() as tm:
@@ -490,12 +416,6 @@ def cmd_lipschitz(args) -> int:
         )
         lines.append(f"{seed:4d}   {cells}")
     lines.append(f"max ratio spread across deltas: {rep.max_stability():.4f}")
-    payload = {
-        "ratios": {str(s): {str(d): r for d, r in row.items()}
-                   for s, row in rep.ratios.items()},
-        "stability": {str(s): v for s, v in rep.stability.items()},
-        "truncations": list(rep.truncations),
-    }
     if args.csv_out:
         rows = [
             [seed, delta, "" if r is None else r]
@@ -504,21 +424,19 @@ def cmd_lipschitz(args) -> int:
         ]
         write_csv(args.csv_out, ["seed", "delta", "ratio"], rows)
         lines.append(f"ratio table written to {args.csv_out}")
-    _emit(args, make_report("lipschitz", conf, payload, tm.elapsed), lines)
-    return 0
+    # the payload holds every field of the report
+    return 0, conf, vars(rep), lines, tm.elapsed
 
 
-def cmd_lifespan(args) -> int:
-    n = args.n if args.n is not None else 512
-    dt = args.dt if args.dt is not None else 1e-4
+def cmd_lifespan(args):
     cfg = solver.SolverConfig(
-        n=n, box=args.box, dt=dt, t_final=args.t_final, sample_stride=1
+        n=args.n, box=args.box, dt=args.dt, t_final=args.t_final, sample_stride=1
     )
     conf = {
-        "mu": list(args.mu), "amplitude": args.amplitude, "n": n, "dt": dt,
+        "mu": args.mu, "amplitude": args.amplitude, "n": args.n, "dt": args.dt,
         "box": args.box, "t_final": args.t_final,
     }
-    u0, n0, n1 = solver.gaussian_focusing_data(n, args.box, args.amplitude)
+    u0, n0, n1 = solver.gaussian_focusing_data(args.n, args.box, args.amplitude)
     with timer() as tm:
         rep = solver.lifespan_probe(u0, n0, n1, args.mu, cfg)
     lines = [
@@ -532,13 +450,6 @@ def cmd_lifespan(args) -> int:
     ]
     if rep.inconclusive:
         lines.append("inconclusive: no departure within budget for some mu")
-    payload = {
-        "departure_times": {str(m): t for m, t in rep.departure_times.items()},
-        "slope": rep.slope,
-        "reference_slope": rep.reference_slope,
-        "inconclusive": rep.inconclusive,
-        "monitored": rep.monitored,
-    }
     if args.csv_out:
         rows = [
             [mu, "" if t is None else t]
@@ -546,23 +457,23 @@ def cmd_lifespan(args) -> int:
         ]
         write_csv(args.csv_out, ["mu", "departure_time"], rows)
         lines.append(f"departure table written to {args.csv_out}")
-    _emit(args, make_report("lifespan", conf, payload, tm.elapsed), lines)
-    return 0
+    # the payload holds every field of the report
+    return 0, conf, vars(rep), lines, tm.elapsed
 
 
-def _add_common(sub, required_rationals=(), optional_rationals=(), solver_opts=False):
-    sub.add_argument("--json", action="store_true", help="print the report as JSON")
-    sub.add_argument("--jsonl-out", help="append the report to a JSON-lines file")
-    sub.add_argument("--tier", choices=sorted(TIERS), default="standard")
-    for name in required_rationals:
-        sub.add_argument(f"--{name}", type=rational_arg, required=True)
-    for name in optional_rationals:
-        sub.add_argument(f"--{name}", type=rational_arg, default=None)
-    if solver_opts:
-        sub.add_argument("--n", type=int, default=None)
-        sub.add_argument("--box", type=finite_arg, default=32.0)
-        sub.add_argument("--dt", type=finite_arg, default=None)
-        sub.add_argument("--sample-stride", type=int, default=25)
+POINT = ("k", "l", "p")
+# name: (function, help, required rational flags, takes --tier)
+COMMANDS = {
+    "admissible": (cmd_admissible, "exact admissibility verdict", POINT + ("b", "b1"), False),
+    "window": (cmd_window, "feasible b = b1 interval at (k, l, p)", POINT, False),
+    "optimize": (cmd_optimize, "global optimum or minimal k on a line", (), False),
+    "scaling": (cmd_scaling, "Sobolev scaling exponents (sigma, lambda)", POINT, False),
+    "kernel-scan": (cmd_kernel_scan, "saturation scan of the kernel suprema", POINT, True),
+    "trilinear-test": (cmd_trilinear_test, "randomized trilinear bound suite", (), True),
+    "simulate": (cmd_simulate, "pseudospectral evolution with diagnostics", (), True),
+    "lipschitz": (cmd_lipschitz, "flow-map difference-quotient probe", POINT, True),
+    "lifespan": (cmd_lifespan, "departure-time scaling under dilation", (), False),
+}
 
 
 # a bare negative value such as -1/2, -1e-2 or -1e-2,1e-3, which argparse
@@ -612,64 +523,49 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser.add_argument("--config", help="key=value or JSON defaults file")
     subs = parser.add_subparsers(dest="command", required=True)
     submap = {}
+    for name, (func, help_text, rationals, tiered) in COMMANDS.items():
+        s = submap[name] = subs.add_parser(name, help=help_text)
+        s.set_defaults(func=func)
+        s.add_argument("--json", action="store_true", help="print the report as JSON")
+        s.add_argument("--jsonl-out", help="append the report to a JSON-lines file")
+        if tiered:
+            s.add_argument("--tier", choices=sorted(TIERS), default="standard")
+        for flag in rationals:
+            s.add_argument(f"--{flag}", type=rational_arg, required=True)
+    for name in ("simulate", "lipschitz", "lifespan"):
+        s = submap[name]
+        s.add_argument("--n", type=int)
+        s.add_argument("--box", type=finite_arg, default=32.0)
+        s.add_argument("--dt", type=finite_arg)
+        s.add_argument("--sample-stride", type=int, default=25)
 
-    s = submap["admissible"] = subs.add_parser(
-        "admissible", help="exact admissibility verdict"
-    )
-    _add_common(s, required_rationals=("k", "l", "p", "b", "b1"))
-    s.set_defaults(func=cmd_admissible)
+    s = submap["optimize"]
+    s.add_argument("--l", type=rational_arg)
+    s.add_argument("--fixed-p", type=rational_arg)
 
-    s = submap["window"] = subs.add_parser(
-        "window", help="feasible b = b1 interval at (k, l, p)"
-    )
-    _add_common(s, required_rationals=("k", "l", "p"))
-    s.set_defaults(func=cmd_window)
-
-    s = submap["optimize"] = subs.add_parser(
-        "optimize", help="global optimum or minimal k on a line"
-    )
-    s.add_argument("--l", type=rational_arg, default=None)
-    s.add_argument("--fixed-p", type=rational_arg, default=None)
-    _add_common(s)
-    s.set_defaults(func=cmd_optimize)
-
-    s = submap["scaling"] = subs.add_parser(
-        "scaling", help="Sobolev scaling exponents (sigma, lambda)"
-    )
-    _add_common(s, required_rationals=("k", "l", "p"))
-    s.set_defaults(func=cmd_scaling)
-
-    s = submap["kernel-scan"] = subs.add_parser(
-        "kernel-scan", help="saturation scan of the kernel suprema"
-    )
-    _add_common(s, required_rationals=("k", "l", "p"), optional_rationals=("b", "b1"))
+    s = submap["kernel-scan"]
+    s.add_argument("--b", type=rational_arg)
+    s.add_argument("--b1", type=rational_arg)
     s.add_argument("--eps", type=rational_arg, default=Fraction(1, 100))
     s.add_argument("--family", choices=["S", "W", "both"], default="both")
     s.add_argument("--sign", choices=["plus", "minus", "both"], default="both")
-    s.add_argument("--r-max", type=positive_arg(float), default=None)
-    s.add_argument("--resolution", type=positive_arg(float), default=None)
+    s.add_argument("--r-max", type=positive_arg(float))
+    s.add_argument("--resolution", type=positive_arg(float))
     s.add_argument("--violate", choices=["l"], default=None,
                    help="probe with the family's l condition broken "
                         "(needs --family S or W)")
-    s.set_defaults(func=cmd_kernel_scan)
 
-    s = submap["trilinear-test"] = subs.add_parser(
-        "trilinear-test", help="randomized trilinear bound suite"
-    )
+    s = submap["trilinear-test"]
     s.add_argument("--p-values",
                    type=lambda t: tuple(rational_arg(v) for v in t.split(",")),
                    default=(Fraction(3, 2), Fraction(12, 7), Fraction(2)))
-    s.add_argument("--trials", type=positive_arg(int), default=None)
-    s.add_argument("--grid", type=int, default=64)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--trials", type=positive_arg(int))
+    s.add_argument("--grid", type=positive_arg(int), default=64)
+    s.add_argument("--seed", type=positive_arg(int, zero_ok=True), default=0)
     s.add_argument("--family", choices=["S", "W"], default="S")
     s.add_argument("--sign", choices=["plus", "minus"], default="minus")
-    _add_common(s)
-    s.set_defaults(func=cmd_trilinear_test)
 
-    s = submap["simulate"] = subs.add_parser(
-        "simulate", help="pseudospectral evolution with diagnostics"
-    )
+    s = submap["simulate"]
     s.add_argument("--preset", choices=["plane-wave", "gaussian"], default="plane-wave")
     s.add_argument("--amplitude", type=finite_arg, default=1.0)
     s.add_argument("--t-final", type=finite_arg, default=1.0)
@@ -677,29 +573,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     s.add_argument("--csv-out", help="write the sampled series as CSV")
     s.add_argument("--trace-out", help="write one JSON line per sample")
     s.add_argument("--snapshot-out", help="write the final u field snapshot")
-    _add_common(s, solver_opts=True)
-    s.set_defaults(func=cmd_simulate)
 
-    s = submap["lipschitz"] = subs.add_parser(
-        "lipschitz", help="flow-map difference-quotient probe"
-    )
+    s = submap["lipschitz"]
     s.add_argument("--amplitude", type=finite_arg, default=1.0)
     s.add_argument("--deltas", type=float_list_arg, default=(1e-2, 1e-3, 1e-4))
     s.add_argument("--seeds", type=positive_arg(int), default=5)
     s.add_argument("--t-final", type=finite_arg, default=0.25)
     s.add_argument("--csv-out", help="write the ratio table as CSV")
-    _add_common(s, required_rationals=("k", "l", "p"), solver_opts=True)
-    s.set_defaults(func=cmd_lipschitz)
 
-    s = submap["lifespan"] = subs.add_parser(
-        "lifespan", help="departure-time scaling under dilation"
-    )
+    s = submap["lifespan"]
+    s.set_defaults(n=512, dt=1e-4)
     s.add_argument("--mu", type=float_list_arg, default=(1.0, 2.0, 4.0))
     s.add_argument("--amplitude", type=finite_arg, default=12.0)
     s.add_argument("--t-final", type=finite_arg, default=0.5)
     s.add_argument("--csv-out", help="write the departure-time table as CSV")
-    _add_common(s, solver_opts=True)
-    s.set_defaults(func=cmd_lifespan)
 
     return parser, submap
 
@@ -728,12 +615,23 @@ def main(argv=None) -> int:
             flags = submap[argv[command]].flags
             argv[command + 1:command + 1] = _config_tokens(config, flags)
     args = parser.parse_args(_join_negative_values(argv))
+    if "tier" in args:
+        for key, value in vars(TIERS[args.tier]).items():
+            if getattr(args, key, value) is None:
+                setattr(args, key, value)
     try:
-        return args.func(args)
-    except (params.ParamDomainError, grids.GridError, solver.SolverError,
-            kernels.KernelError, OSError) as exc:
+        code, config, payload, lines, seconds = args.func(args)
+        report = make_report(args.command, config, payload, seconds)
+        if args.jsonl_out:
+            write_jsonl(report, args.jsonl_out)
+    except Rejected as exc:
+        print(f"rejected ({exc})", file=sys.stderr)
+        return 1
+    except (ZaklabError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
+    print(report.to_json() if args.json else "\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

@@ -16,10 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ZaklabError
+
 ROUGH_DECAY_MARGIN = 1.0 / 100.0  # extra decay delta in the rough-data profile
 
 
-class GridError(ValueError):
+class GridError(ZaklabError):
     """Invalid grid construction or mismatched grid operands."""
 
 

@@ -67,6 +67,7 @@ from typing import Sequence
 import numpy as np
 from scipy import fft, special
 
+from . import ZaklabError
 from .grids import GridFunction
 
 FAMILY_SCHRODINGER_PRODUCT = "S"
@@ -80,7 +81,7 @@ TAIL_RATE_ROUNDOFF = 1e-12  # xi2 tail rates up to this count as zero
 WORKERS_ENV = "ZAKLAB_WORKERS"
 
 
-class KernelError(ValueError):
+class KernelError(ZaklabError):
     pass
 
 

@@ -14,13 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from . import ZaklabError
+
 RationalLike = Union[Fraction, int, str]
 
 BRANCH_K_NONNEG = "k>=0"
 BRANCH_K_NEG = "k<0"
 
 
-class ParamDomainError(ValueError):
+class ParamDomainError(ZaklabError):
     """An input violates a type invariant of the parameter algebra."""
 
 

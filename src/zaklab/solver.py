@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import ZaklabError
 from .grids import (
     GridFunction, RoughDataSpec, dilate, from_samples, hat_norm, unit_rough_data,
 )
@@ -26,7 +27,7 @@ from .grids import (
 LIFESPAN_BUDGET_FACTOR = 4.0  # later lifespan budgets, in first departure times
 
 
-class SolverError(ValueError):
+class SolverError(ZaklabError):
     pass
 
 

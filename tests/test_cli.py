@@ -145,6 +145,12 @@ class TestKernelScanCommand:
         code = cli.main(["kernel-scan", "--k", "0", "--l", "-2/3", "--p", "3/2",
                          "--tier", "quick"])
         assert code == 1
+        assert capsys.readouterr() == (
+            "", "rejected (empty b window at (k, l, p) = (0, -2/3, 3/2))\n")
+        # a point outside the domain is rejected the same way
+        code = cli.main(["kernel-scan", "--k", "0", "--l", "-1/2", "--p", "3"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "") and err.startswith("rejected (p must satisfy")
 
     def test_one_scan_per_family_serves_both_signs(self, capsys, monkeypatch):
         calls = []
@@ -236,35 +242,72 @@ COMMAND_ARGV = {
                   "--t-final", "0.05"],
     "lifespan": ["lifespan", "--n", "128", "--dt", "1e-3", "--t-final", "0.2"],
 }
-COMMAND_PAYLOAD_SHA256 = {
-    "admissible": (0, "977b4192bb749cbd608f783d395afd95b646f659df4302460881e91bc8db4c99"),
-    "admissible-boundary": (1, "e6c8e458a38f526ff6df218bac460a15570f4cf9b0dd1d05e74e4e94a977ba76"),
-    "window-corner": (0, "8b5620f779982d308e9f33de50e49d20648cc44ab1dd44eba392124d30593387"),
-    "window-optimal": (0, "bcaf2c499c1d4b62df9aee37bce16f6894b199fcd5b36e756d5783217bb264da"),
-    "window-empty-k0": (0, "0e47d86fbfa9d795ddac3827a8b07ef524edac96fb1de8d0ecb4ce58820d34be"),
-    "window-crossed-k0": (0, "9c3722f6b6379daeea1d90ec405dd0df68488829b9ae335365faa381214e5b7e"),
-    "window-empty-kneg": (0, "977fdc0873a0721d230840b91145ac44b0ac4081b0e40a8f2a33363f762f2a27"),
-    "window-tie-k0": (0, "a20f0df38cc79cda034bac98f28ef1cdd279be18c18df24235d6ffe25a8224c6"),
-    "optimize": (0, "dd6bc1fe6b9a81d73746dc2c58be34d615f430ad1c8ae9c41a7ed4f37ce937bb"),
-    "optimize-line": (0, "70849092cecf7942a18e6d6f7755fd1f61bcebba7c1bf865a734791c57790cbe"),
-    "scaling": (0, "62394e6c14460358feb76f661b890218fc04dd7539e4100477b4560ff7251697"),
-    "trilinear-test": (0, "9a637bf01a59fb2b9cf6be15ecc114ae60012ee31f01638ee73e467fa0aa3a5a"),
-    "simulate": (0, "c56b875daf7b43eb2219a8672a356bed6a6580414ae84e1cf0dbd6a3300d44ec"),
-    "lipschitz": (0, "fc3e78509c9466761d813b789a18fc2c938f2a9505fd85faeb8eeaa4025d2702"),
-    "lifespan": (0, "5cdf955a835cd19ff7e8110d1faac352e4a0b97dd8eed9384d4441ed6425421b"),
+COMMAND_SHA256 = {
+    "admissible": (0, "977b4192bb749cbd608f783d395afd95b646f659df4302460881e91bc8db4c99",
+        "33df345e9256dfde583b6676d647eecf914336719ceb36a0cbfe08f435b1bf07",
+        "820b1a47a1fa53ebb59804c8be8f578759b0f46d19f84a506e9610c874ac41e5"),
+    "admissible-boundary": (1, "e6c8e458a38f526ff6df218bac460a15570f4cf9b0dd1d05e74e4e94a977ba76",
+        "62014cc97b7125448268669b2624bdbb32f87585ed797dc1d845db285edd7368",
+        "9dff299f4168549f0ea178619d7f73e00ca57c23762de5c437d4930b7e18db9b"),
+    "window-corner": (0, "8b5620f779982d308e9f33de50e49d20648cc44ab1dd44eba392124d30593387",
+        "125b90838580684545d1e0575b32946b4a0fc38a30499804746acb132ce9ec86",
+        "882998b98a3d803c5f0cf09b4723019dc80d1bf0663b0f93e86cadded0a6adc9"),
+    "window-optimal": (0, "bcaf2c499c1d4b62df9aee37bce16f6894b199fcd5b36e756d5783217bb264da",
+        "8426eb159a618f905048ffedcca7e4be635bc858c6b791f1ab154d40742e5664",
+        "6272e892d6f681269008248e2d18ea06a0308d32538bdccd0f9548e3a520ae93"),
+    "window-empty-k0": (0, "0e47d86fbfa9d795ddac3827a8b07ef524edac96fb1de8d0ecb4ce58820d34be",
+        "8771b7c65ebce7f3a2323e7be6c612f12c153c1e34cb99491e58e6c2db0b48fa",
+        "dc0069404ff922bfdf8f86379b395b82e706b2f9901fd0498bd744a008648f01"),
+    "window-crossed-k0": (0, "9c3722f6b6379daeea1d90ec405dd0df68488829b9ae335365faa381214e5b7e",
+        "f5305b544865fc498c8f8a4d0ac452e5c5f955d4c30bb045ac0c4fc472dbda59",
+        "37483decc81c50b007402076731d2e31cb12060e99c460422f465655cbab2b71"),
+    "window-empty-kneg": (0, "977fdc0873a0721d230840b91145ac44b0ac4081b0e40a8f2a33363f762f2a27",
+        "ba72a1cc07658893d23ebaf2bc3647e8f934a9ea085069d3c848bc77b5717a18",
+        "9c87b2d0005f9445d1aa14c4de8113ea0db49afd8fc04cdcd2475edba8910684"),
+    "window-tie-k0": (0, "a20f0df38cc79cda034bac98f28ef1cdd279be18c18df24235d6ffe25a8224c6",
+        "62284d32b4e862b6f206843669f087101bf9ec20c384162faded1d2e121337b0",
+        "7213984b8021a95db9cfd31287a24605e64f9221320ddd459bdc9a48784607a5"),
+    "optimize": (0, "dd6bc1fe6b9a81d73746dc2c58be34d615f430ad1c8ae9c41a7ed4f37ce937bb",
+        "7ecafea2fd5822a8f86872e8ee7813384990c41126c2510785cb6e39cf0da341",
+        "a6b2d85b9a55b6ab24b460a8e6b3332b1b3f38e8d922621e82b811dcb6ffcdbe"),
+    "optimize-line": (0, "70849092cecf7942a18e6d6f7755fd1f61bcebba7c1bf865a734791c57790cbe",
+        "c9ecf91d34cd7337e063e2f20320c4eccc51a21a967d048165d7732699cb13d1",
+        "9c9c73853176b09095e0db409eed498174f1645768fe433654a39a4de47c3a79"),
+    "scaling": (0, "62394e6c14460358feb76f661b890218fc04dd7539e4100477b4560ff7251697",
+        "030012b8efdb83f8a7db29281854985e594569aaeeace08c6c0377accf241f65",
+        "f1f0fd587595d174dd6a411279bf882cb205e1ebc72d77998783fad3ac8339e7"),
+    "trilinear-test": (0, "9a637bf01a59fb2b9cf6be15ecc114ae60012ee31f01638ee73e467fa0aa3a5a",
+        "f91b2dc46f222dba9f8d025590853915cd86c019f7eebb880884a93a5addbd4e",
+        "baccf72e85761a7294d4c659f9893816a9ee43a351c4c822cf32ddaa80d1a9d1"),
+    "simulate": (0, "c56b875daf7b43eb2219a8672a356bed6a6580414ae84e1cf0dbd6a3300d44ec",
+        "d0e56bda208f0c8c472813dcc66db6f2f35827d1820c83aa5cd4cb0f8c617f38",
+        "5cc237ee5dd5300f6aa1bb1c2e8aa861bacda84d7a5e40843a48cc8a12606fa1"),
+    "lipschitz": (0, "fc3e78509c9466761d813b789a18fc2c938f2a9505fd85faeb8eeaa4025d2702",
+        "74a6518fd8a0b23b871c413a29a53e7e562b54b1d2af49b5628561a2aa0a0ce4",
+        "dc28c99645e300e6d2a6288d4ede3d137ffb99b51f33e6804d1f012901294a77"),
+    "lifespan": (0, "5cdf955a835cd19ff7e8110d1faac352e4a0b97dd8eed9384d4441ed6425421b",
+        "03955f878c1252cf2eaf26742fdfe872aecf5102311c85ad34ff849f36f5aafe",
+        "23631c1c983a6d15c12f513ba65229c003c8c58693a843e4e0b864bec967d4c6"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(COMMAND_ARGV))
 def test_command_payload_is_byte_identical(capsys, name):
     """The byte-identity contract for every command but kernel-scan, at small
-    settings: exit code and sha256 of the sorted-key JSON payload, pinned
-    before the b-window solvers were folded into one, with numpy 2.4.6
-    and scipy 1.17.1 (the solver payloads hold floats, whose last bits a
-    different build can move)."""
+    settings: the exit code, then the sha256 of the sorted-key JSON payload,
+    of the whole --json report without timing_s, and of the text output.
+    The payload digests were pinned before the b-window solvers were folded
+    into one; the report and text digests before the commands were made to
+    return their reports to main(), ahead of any source edit for it.  All
+    were taken with numpy 2.4.6 and scipy 1.17.1 (the solver payloads hold
+    floats, whose last bits a different build can move)."""
     code, doc = run_json(capsys, *COMMAND_ARGV[name])
-    text = json.dumps(doc["payload"], sort_keys=True)
-    assert (code, hashlib.sha256(text.encode()).hexdigest()) == COMMAND_PAYLOAD_SHA256[name]
+    del doc["timing_s"]
+    text_code, text = run(capsys, *COMMAND_ARGV[name])
+    assert text_code == code
+    digests = tuple(hashlib.sha256(t.encode()).hexdigest() for t in (
+        json.dumps(doc["payload"], sort_keys=True), json.dumps(doc, sort_keys=True), text))
+    assert (code, *digests) == COMMAND_SHA256[name]
 
 
 class TestTrilinearCommand:
@@ -358,6 +401,18 @@ class TestLifespanCommand:
     # no trial certifies nothing
     ["trilinear-test", "--trials", "0"],
     ["trilinear-test", "--trials", "-3"],
+    ["trilinear-test", "--grid", "-4"],
+    ["trilinear-test", "--seed", "-1"],
+    # a ParamDomainError and a GridError from the library
+    ["window", "--k", "0", "--l", "-1/2", "--p", "3"],
+    ["trilinear-test", "--trials", "1", "--grid", "3"],
+    # only kernel-scan, trilinear-test, simulate and lipschitz take --tier
+    ["admissible", "--k", "0", "--l", "-1/2", "--p", "2", "--b", "11/20",
+     "--b1", "11/20", "--tier", "quick"],
+    ["window", "--k", "0", "--l", "-1/2", "--p", "2", "--tier", "quick"],
+    ["optimize", "--tier", "quick"],
+    ["scaling", "--k", "0", "--l", "-1/2", "--p", "2", "--tier", "quick"],
+    ["lifespan", "--tier", "quick"],
 ])
 def test_bad_input_is_one_stderr_line_and_exit_2(capsys, argv):
     try:
@@ -385,9 +440,10 @@ WRITERS = {
 @pytest.mark.parametrize("writer", sorted(WRITERS))
 def test_unwritable_output_is_one_stderr_line_and_exit_2(capsys, tmp_path, writer):
     code = cli.main([*WRITERS[writer], str(tmp_path / "missing" / "out")])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("zaklab: error:")
+    assert out == ""
 
 
 @pytest.mark.parametrize("argv,key,value", [
