@@ -39,6 +39,13 @@ def rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def positive_rational_arg(text: str) -> Fraction:
+    value = rational_arg(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive rational: {text!r}")
+    return value
+
+
 def positive_arg(kind, zero_ok=False):
     """Argument type: a finite positive value of kind (int or float), or a
     non-negative one with zero_ok."""
@@ -363,7 +370,7 @@ def cmd_simulate(args):
     ]
     if args.preset == "plane-wave" and not trace.truncated:
         exact = solver.plane_wave_solution(args.amplitude, kappa, 1.0, x, trace.times[-1])
-        err = float(np.max(np.abs(trace.final_state.u - exact)))
+        err = float(np.max(np.abs(trace.final_u - exact)))
         payload["plane_wave_error"] = err
         lines.append(f"closed-form error = {err:.3e}")
     if args.csv_out:
@@ -383,10 +390,8 @@ def cmd_simulate(args):
                 )
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
         lines.append(f"per-sample trace written to {args.trace_out}")
-    if args.snapshot_out and trace.final_state is not None:
-        grids.save_grid(
-            grids.from_samples(trace.final_state.u, cfg.box), args.snapshot_out
-        )
+    if args.snapshot_out and trace.final_u is not None:
+        grids.save_grid(grids.from_samples(trace.final_u, cfg.box), args.snapshot_out)
         lines.append(f"final u snapshot written to {args.snapshot_out}")
     return 0, conf, payload, lines, tm.elapsed
 
@@ -429,9 +434,7 @@ def cmd_lipschitz(args):
 
 
 def cmd_lifespan(args):
-    cfg = solver.SolverConfig(
-        n=args.n, box=args.box, dt=args.dt, t_final=args.t_final, sample_stride=1
-    )
+    cfg = solver.SolverConfig(n=args.n, box=args.box, dt=args.dt, t_final=args.t_final)
     conf = {
         "mu": args.mu, "amplitude": args.amplitude, "n": args.n, "dt": args.dt,
         "box": args.box, "t_final": args.t_final,
@@ -537,7 +540,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         s.add_argument("--n", type=int)
         s.add_argument("--box", type=finite_arg, default=32.0)
         s.add_argument("--dt", type=finite_arg)
-        s.add_argument("--sample-stride", type=int, default=25)
+        if name != "lifespan":  # the lifespan probe observes every step
+            s.add_argument("--sample-stride", type=int, default=25)
 
     s = submap["optimize"]
     s.add_argument("--l", type=rational_arg)
@@ -546,7 +550,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     s = submap["kernel-scan"]
     s.add_argument("--b", type=rational_arg)
     s.add_argument("--b1", type=rational_arg)
-    s.add_argument("--eps", type=rational_arg, default=Fraction(1, 100))
+    s.add_argument("--eps", type=positive_rational_arg, default=Fraction(1, 100))
     s.add_argument("--family", choices=["S", "W", "both"], default="both")
     s.add_argument("--sign", choices=["plus", "minus", "both"], default="both")
     s.add_argument("--r-max", type=positive_arg(float))

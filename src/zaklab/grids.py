@@ -30,6 +30,12 @@ def _check_pow2(n: int) -> None:
         raise GridError(f"mode count per axis must be a power of two (got {n})")
 
 
+def wavenumbers(n: int, box: float) -> np.ndarray:
+    """The frequencies xi_j = 2*pi*j/L of n modes on the box L, in numpy
+    fft ordering."""
+    return 2.0 * np.pi * np.fft.fftfreq(n, d=box / n)
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Immutable lattice of complex Fourier amplitudes (1D or 2D)."""
@@ -66,8 +72,7 @@ class GridFunction:
         return self.modes.shape
 
     def frequencies(self, axis: int = 0) -> np.ndarray:
-        n = self.shape[axis]
-        return 2.0 * np.pi * np.fft.fftfreq(n, d=self.box[axis] / n)
+        return wavenumbers(self.shape[axis], self.box[axis])
 
     def to_samples(self) -> np.ndarray:
         """Physical samples on the centered grid."""
@@ -145,7 +150,7 @@ class RoughDataSpec:
 def rough_data(spec: RoughDataSpec) -> GridFunction:
     """Rough initial data; identical output for identical specs."""
     pprime = spec.p / (spec.p - 1.0)
-    xi = 2.0 * np.pi * np.fft.fftfreq(spec.n, d=spec.box / spec.n)
+    xi = wavenumbers(spec.n, spec.box)
     mag = (1.0 + xi * xi) ** (-(spec.k + 1.0 / pprime + ROUGH_DECAY_MARGIN) / 2.0)
     rng = np.random.default_rng(spec.seed)
     modes = mag * np.exp(2j * np.pi * rng.uniform(size=spec.n))

@@ -22,6 +22,7 @@ import numpy as np
 from . import ZaklabError
 from .grids import (
     GridFunction, RoughDataSpec, dilate, from_samples, hat_norm, unit_rough_data,
+    wavenumbers,
 )
 
 LIFESPAN_BUDGET_FACTOR = 4.0  # later lifespan budgets, in first departure times
@@ -58,31 +59,6 @@ class SolverConfig:
         return int(round(self.t_final / self.dt))
 
 
-@dataclass
-class ZakharovState:
-    """Physical-space fields at one instant; n must stay real."""
-
-    u: np.ndarray
-    n_plus: np.ndarray
-    n_minus: np.ndarray
-    t: float
-    box: float
-
-    def __post_init__(self):
-        shapes = {self.u.shape, self.n_plus.shape, self.n_minus.shape}
-        if len(shapes) != 1:
-            raise SolverError("field grids disagree")
-
-    @property
-    def n(self) -> np.ndarray:
-        return (self.n_plus + self.n_minus) / 2.0
-
-    def reality_defect(self) -> float:
-        """Max |Im n| relative to the field scale (0 for exactly real n)."""
-        scale = max(1.0, float(np.max(np.abs(self.n))))
-        return float(np.max(np.abs(self.n.imag))) / scale
-
-
 def _wave_symbol(xi: np.ndarray, regularized: bool) -> np.ndarray:
     return np.sqrt(xi * xi + 1.0) if regularized else np.abs(xi)
 
@@ -90,15 +66,15 @@ def _wave_symbol(xi: np.ndarray, regularized: bool) -> np.ndarray:
 def to_first_order(
     n0: np.ndarray, n1: np.ndarray, box: float, regularized: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split wave data (n0, n1) into the envelopes n0 +/- i Op^{-1/2} n1.
+    """Split wave data (n0, n1) into the envelopes n_plus, n_minus = n0 +/- w.
 
-    Without regularization the inverse half-wave symbol is singular at the
-    zero mode, so n1 must have zero mean there.
+    Each mode of w is that of n1 times i/omega(xi), with the half-wave
+    symbol omega = sqrt(xi^2 + 1), or |xi| without regularization; |xi|
+    vanishes at the zero mode, so there n1 must have zero mean.
     """
     n0 = np.asarray(n0, dtype=np.complex128)
     n1 = np.asarray(n1, dtype=np.complex128)
-    n = n0.shape[0]
-    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=box / n)
+    omega = _wave_symbol(wavenumbers(n0.shape[0], box), regularized)
     n1_hat = np.fft.fft(n1)
     if not regularized:
         mean_scale = max(1.0, float(np.max(np.abs(n1_hat))))
@@ -107,25 +83,9 @@ def to_first_order(
                 "unregularized reduction needs zero-mean n1: the inverse "
                 "half-wave symbol 1/|xi| is singular at the zero mode"
             )
-        inv = np.zeros_like(xi)
-        inv[xi != 0] = 1.0 / np.abs(xi[xi != 0])
-    else:
-        inv = 1.0 / np.sqrt(xi * xi + 1.0)
+    inv = np.divide(1.0, omega, out=np.zeros_like(omega), where=omega != 0)
     w = np.fft.ifft(1j * inv * n1_hat)
     return n0 + w, n0 - w
-
-
-def from_first_order(
-    n_plus: np.ndarray, n_minus: np.ndarray, box: float, regularized: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Invert the first-order splitting back to (n0, n1)."""
-    n = n_plus.shape[0]
-    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=box / n)
-    sym = _wave_symbol(xi, regularized)
-    n0 = (n_plus + n_minus) / 2.0
-    diff_hat = np.fft.fft(n_plus - n_minus) / 2.0
-    n1 = np.fft.ifft(sym * diff_hat / 1j)
-    return n0, n1
 
 
 class _Lawson:
@@ -137,7 +97,7 @@ class _Lawson:
 
     def __init__(self, cfg: SolverConfig):
         n, dt = cfg.n, cfg.dt
-        xi = 2.0 * np.pi * np.fft.fftfreq(n, d=cfg.box / n)
+        xi = wavenumbers(n, cfg.box)
         omega = _wave_symbol(xi, cfg.regularized)
         lin = np.stack([-1j * xi * xi, -1j * omega, +1j * omega])
         self.dt = dt
@@ -248,7 +208,7 @@ class EvolutionTrace:
     series: dict[str, np.ndarray]
     truncated: bool = False
     blowup_time: float | None = None
-    final_state: ZakharovState | None = None
+    final_u: np.ndarray | None = None  # u at t_final; None after a blow-up
 
     def __post_init__(self):
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
@@ -266,7 +226,7 @@ def evolve(
     rows: dict[str, list[float]] = {
         "hat_0.0_2.0": [], "mass": [], "sup_u": [], "n_imag": [],
     }
-    final: list[ZakharovState] = []
+    final: list[np.ndarray] = []
 
     def record(i, alive, y):
         u, n_plus, n_minus = np.fft.ifft(y[0])
@@ -277,7 +237,7 @@ def evolve(
         rows["n_imag"].append(float(np.max(np.abs(navg.imag))))
         rows["hat_0.0_2.0"].append(hat_norm(from_samples(u, cfg.box), 0.0, 2.0))
         if i == cfg.steps:
-            final.append(ZakharovState(u, n_plus, n_minus, t=i * cfg.dt, box=cfg.box))
+            final.append(u)
 
     (blowup,) = _integrate(_spectral([(u0, n0, n1)], cfg), cfg, record)
     return EvolutionTrace(
@@ -285,7 +245,7 @@ def evolve(
         series={k: np.asarray(v) for k, v in rows.items()},
         truncated=blowup is not None,
         blowup_time=blowup,
-        final_state=final[0] if final else None,
+        final_u=final[0] if final else None,
     )
 
 
@@ -328,28 +288,20 @@ def lipschitz_probe(
     integrated as one batch; a difference is sampled while both of its
     trajectories are finite.
     """
+    def rough(s: float, seed: int, real: bool) -> np.ndarray:  # unit (s, p) norm
+        f = unit_rough_data(RoughDataSpec(s, p, cfg.n, seed, box=cfg.box, hermitian=real))
+        return f.to_samples().real if real else f.to_samples()
+
     data: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     plan = []  # (seed, base member, [(delta, member or None, denominator)])
     for seed in seeds:
-        base_u = amplitude * unit_rough_data(
-            RoughDataSpec(k=k, p=p, n=cfg.n, seed=seed, box=cfg.box)
-        ).to_samples()
-        n0 = amplitude * unit_rough_data(
-            RoughDataSpec(l, p, cfg.n, seed + 1000, box=cfg.box, hermitian=True)
-        ).to_samples().real
-        n1 = amplitude * unit_rough_data(
-            RoughDataSpec(l - 1.0, p, cfg.n, seed + 2000, box=cfg.box, hermitian=True)
-        ).to_samples().real
+        base_u = amplitude * rough(k, seed, real=False)
+        n0 = amplitude * rough(l, seed + 1000, real=True)
+        n1 = amplitude * rough(l - 1.0, seed + 2000, real=True)
         n1 = n1 - n1.mean()
-        w_u = unit_rough_data(
-            RoughDataSpec(k, p, cfg.n, seed + 3000, box=cfg.box)
-        ).to_samples()
-        w_n0 = unit_rough_data(
-            RoughDataSpec(l, p, cfg.n, seed + 4000, box=cfg.box, hermitian=True)
-        ).to_samples().real
-        w_n1 = unit_rough_data(
-            RoughDataSpec(l - 1.0, p, cfg.n, seed + 5000, box=cfg.box, hermitian=True)
-        ).to_samples().real
+        w_u = rough(k, seed + 3000, real=False)
+        w_n0 = rough(l, seed + 4000, real=True)
+        w_n1 = rough(l - 1.0, seed + 5000, real=True)
         w_n1 = w_n1 - w_n1.mean()
 
         base = len(data)

@@ -202,7 +202,7 @@ def test_criterion_08_solver_correctness():
     kappa = 2 * np.pi * 4 / cfg.box
     trace = S.evolve(np.exp(1j * kappa * x), np.ones(cfg.n), np.zeros(cfg.n), cfg)
     pw_err = float(np.max(np.abs(
-        trace.final_state.u - S.plane_wave_solution(1.0, kappa, 1.0, x, 1.0)
+        trace.final_u - S.plane_wave_solution(1.0, kappa, 1.0, x, 1.0)
     )))
 
     u0 = 2.0 * np.exp(-(x**2) / 2) * (1 + 0.3j)
@@ -212,7 +212,7 @@ def test_criterion_08_solver_correctness():
     finals = {}
     for dt in (4e-3, 2e-3, 1e-3):
         c = S.SolverConfig(n=256, box=32.0, dt=dt, t_final=0.5)
-        finals[dt] = S.evolve(u0, n0, n1, c).final_state.u
+        finals[dt] = S.evolve(u0, n0, n1, c).final_u
     e1 = float(np.max(np.abs(finals[4e-3] - finals[2e-3])))
     e2 = float(np.max(np.abs(finals[2e-3] - finals[1e-3])))
     order = math.log2(e1 / e2)

@@ -237,6 +237,9 @@ COMMAND_ARGV = {
     "optimize-line": ["optimize", "--l", "-1/2", "--fixed-p", "2"],
     "scaling": ["scaling", *OPTIMAL],
     "trilinear-test": ["trilinear-test", "--trials", "2", "--grid", "16"],
+    # a non-default eps, the slack of the dual exponents c1 = 1 - b1 - eps
+    "kernel-scan-eps": ["kernel-scan", *CORNER, "--family", "W", "--sign", "plus",
+                        "--tier", "quick", "--eps", "1/50"],
     "simulate": ["simulate", "--tier", "quick", "--t-final", "0.1"],
     "lipschitz": ["lipschitz", *CORNER, "--seeds", "2", "--tier", "quick",
                   "--t-final", "0.05"],
@@ -279,6 +282,9 @@ COMMAND_SHA256 = {
     "trilinear-test": (0, "9a637bf01a59fb2b9cf6be15ecc114ae60012ee31f01638ee73e467fa0aa3a5a",
         "f91b2dc46f222dba9f8d025590853915cd86c019f7eebb880884a93a5addbd4e",
         "baccf72e85761a7294d4c659f9893816a9ee43a351c4c822cf32ddaa80d1a9d1"),
+    "kernel-scan-eps": (0, "2abf14fb43e0ade38bf6579ca71cf8b440933d25b30cdd2b87e58a0825e2eb3d",
+        "8db80dc1c332a8311222c1564398dc5f654ac1d7246fff0d7a2ce029e16faa5e",
+        "694a170773623cbabfdd1a7f5e027341b242af2138cd1cbfa8ff50193ea2121c"),
     "simulate": (0, "c56b875daf7b43eb2219a8672a356bed6a6580414ae84e1cf0dbd6a3300d44ec",
         "d0e56bda208f0c8c472813dcc66db6f2f35827d1820c83aa5cd4cb0f8c617f38",
         "5cc237ee5dd5300f6aa1bb1c2e8aa861bacda84d7a5e40843a48cc8a12606fa1"),
@@ -298,7 +304,8 @@ def test_command_payload_is_byte_identical(capsys, name):
     of the whole --json report without timing_s, and of the text output.
     The payload digests were pinned before the b-window solvers were folded
     into one; the report and text digests before the commands were made to
-    return their reports to main(), ahead of any source edit for it.  All
+    return their reports to main(), ahead of any source edit for it; the
+    kernel-scan-eps digests before --eps was required to be positive.  All
     were taken with numpy 2.4.6 and scipy 1.17.1 (the solver payloads hold
     floats, whose last bits a different build can move)."""
     code, doc = run_json(capsys, *COMMAND_ARGV[name])
@@ -413,6 +420,13 @@ class TestLifespanCommand:
     ["optimize", "--tier", "quick"],
     ["scaling", "--k", "0", "--l", "-1/2", "--p", "2", "--tier", "quick"],
     ["lifespan", "--tier", "quick"],
+    # the lifespan probe observes every step, so it takes no stride
+    ["lifespan", "--sample-stride", "5"],
+    # eps is the open slack of the dual exponents: it must be positive
+    ["kernel-scan", "--k", "0", "--l", "-1/2", "--p", "2", "--tier", "quick",
+     "--eps", "0"],
+    ["kernel-scan", "--k", "0", "--l", "-1/2", "--p", "2", "--tier", "quick",
+     "--eps", "-1"],
 ])
 def test_bad_input_is_one_stderr_line_and_exit_2(capsys, argv):
     try:

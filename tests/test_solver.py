@@ -49,23 +49,23 @@ class TestFirstOrderReduction:
         assert np.max(np.abs(p - np.cos(x) * (1 + 1j / math.sqrt(2)))) < 1e-12
         assert np.max(np.abs(m - np.cos(x) * (1 - 1j / math.sqrt(2)))) < 1e-12
 
-    def test_round_trip_unregularized(self):
-        rng = np.random.default_rng(0)
-        n0 = rng.normal(size=256)
-        n1 = rng.normal(size=256)
-        n1 -= n1.mean()
-        p, m = S.to_first_order(n0, n1, 32.0, regularized=False)
-        r0, r1 = S.from_first_order(p, m, 32.0, regularized=False)
-        assert np.max(np.abs(r0 - n0)) < 1e-12
-        assert np.max(np.abs(r1 - n1)) < 1e-12
-
-    def test_round_trip_regularized(self):
-        rng = np.random.default_rng(1)
-        n0, n1 = rng.normal(size=128), rng.normal(size=128)
-        p, m = S.to_first_order(n0, n1, 16.0, regularized=True)
-        r0, r1 = S.from_first_order(p, m, 16.0, regularized=True)
-        assert np.max(np.abs(r0 - n0)) < 1e-12
-        assert np.max(np.abs(r1 - n1)) < 1e-12
+    @pytest.mark.parametrize("regularized", [False, True])
+    def test_envelopes_carry_n1_through_the_inverse_symbol(self, regularized):
+        # each mode of n_plus - n_minus is 2 i/omega(xi) times that of n1,
+        # wherever omega > 0 (every mode but the zero one without
+        # regularization, where n1 has zero mean), and the sum is 2 n0
+        seed, n, box = (1, 128, 16.0) if regularized else (0, 256, 32.0)
+        rng = np.random.default_rng(seed)
+        n0, n1 = rng.normal(size=n), rng.normal(size=n)
+        if not regularized:
+            n1 -= n1.mean()
+        p, m = S.to_first_order(n0, n1, box, regularized=regularized)
+        xi = 2 * np.pi * np.fft.fftfreq(n, d=box / n)
+        omega = np.sqrt(xi * xi + 1.0) if regularized else np.abs(xi)
+        live = omega > 0
+        lhs = np.fft.fft(p - m)[live] / 2.0 * omega[live]
+        assert np.max(np.abs(lhs - 1j * np.fft.fft(n1)[live])) < 1e-12
+        assert np.max(np.abs(p + m - 2.0 * n0)) < 1e-12
 
     def test_unregularized_rejects_mean_in_n1(self):
         with pytest.raises(S.SolverError, match="zero mode"):
@@ -78,7 +78,7 @@ class TestStepAndEvolve:
         z = np.zeros(64)
         trace = S.evolve(z, z, z, cfg)
         assert not trace.truncated
-        assert np.max(np.abs(trace.final_state.u)) == 0.0
+        assert np.max(np.abs(trace.final_u)) == 0.0
         assert np.all(trace.series["mass"] == 0.0)
 
     @pytest.mark.parametrize("regularized", [True, False])
@@ -90,7 +90,7 @@ class TestStepAndEvolve:
         u0 = np.exp(1j * kappa * x)
         trace = S.evolve(u0, np.ones(cfg.n), np.zeros(cfg.n), cfg)
         exact = S.plane_wave_solution(1.0, kappa, 1.0, x, 1.0)
-        assert np.max(np.abs(trace.final_state.u - exact)) < 1e-8
+        assert np.max(np.abs(trace.final_u - exact)) < 1e-8
 
     def test_self_convergence_is_fourth_order(self):
         n, box = 256, 32.0
@@ -102,7 +102,7 @@ class TestStepAndEvolve:
         finals = {}
         for dt in (4e-3, 2e-3, 1e-3):
             cfg = S.SolverConfig(n=n, box=box, dt=dt, t_final=0.5)
-            finals[dt] = S.evolve(u0, n0, n1, cfg).final_state.u
+            finals[dt] = S.evolve(u0, n0, n1, cfg).final_u
         e1 = np.max(np.abs(finals[4e-3] - finals[2e-3]))
         e2 = np.max(np.abs(finals[2e-3] - finals[1e-3]))
         order = math.log2(e1 / e2)
@@ -120,17 +120,16 @@ class TestStepAndEvolve:
         u0, n0, n1 = smooth_data(cfg.n, cfg.box, amplitude=2.0)
         trace = S.evolve(u0, n0, n1, cfg)
         assert np.max(trace.series["n_imag"]) < 1e-10
-        assert trace.final_state.reality_defect() < 1e-10
 
     def test_regularized_matches_unregularized_flow(self):
         n, box = 256, 32.0
         u0, n0, n1 = smooth_data(n, box)
         ua = S.evolve(u0, n0, n1,
                       S.SolverConfig(n=n, box=box, dt=1e-3, t_final=0.25,
-                                     regularized=True)).final_state.u
+                                     regularized=True)).final_u
         ub = S.evolve(u0, n0, n1,
                       S.SolverConfig(n=n, box=box, dt=1e-3, t_final=0.25,
-                                     regularized=False)).final_state.u
+                                     regularized=False)).final_u
         assert np.max(np.abs(ua - ub)) < 1e-6
 
     def test_rough_data_small_amplitude_completes(self):
@@ -158,7 +157,7 @@ class TestStepAndEvolve:
         n0 = -np.abs(u0) ** 2
         trace = S.evolve(u0, n0, np.zeros(cfg.n), cfg)
         assert trace.truncated and trace.blowup_time is not None
-        assert trace.final_state is None
+        assert trace.final_u is None
 
     def test_trace_timestamps_increase(self):
         cfg = S.SolverConfig(n=64, box=16.0, dt=1e-2, t_final=0.2, sample_stride=5)
