@@ -36,6 +36,11 @@ def wavenumbers(n: int, box: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(n, d=box / n)
 
 
+def mode_indices(n: int) -> np.ndarray:
+    """The integer mode numbers j of n modes, in numpy fft ordering."""
+    return np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(np.int64)
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Immutable lattice of complex Fourier amplitudes (1D or 2D)."""
@@ -87,8 +92,7 @@ class GridFunction:
 
 def _center_phase(n: int, ndim: int, axis: int) -> np.ndarray:
     # exp(-i xi_n x_0) with x_0 = -L/2 equals (-1)^n exactly
-    idx = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(np.int64)
-    ph = np.where(idx % 2 == 0, 1.0, -1.0).astype(np.complex128)
+    ph = np.where(mode_indices(n) % 2 == 0, 1.0, -1.0).astype(np.complex128)
     shape = [1] * ndim
     shape[axis] = n
     return ph.reshape(shape)

@@ -65,10 +65,12 @@ from itertools import groupby
 from typing import Sequence
 
 import numpy as np
-from scipy import fft, special
 
 from . import ZaklabError
-from .grids import GridFunction
+from .grids import GridFunction, wavenumbers
+
+# scipy is imported inside the three functions that call it: only
+# kernel-scan reaches them, so every other command starts without it
 
 FAMILY_SCHRODINGER_PRODUCT = "S"
 FAMILY_WAVE_SOURCE = "W"
@@ -239,6 +241,8 @@ def _homogeneous_coefficient(e1: float, e2: float) -> float:
     summed over t < 0, 0 < t < 1 and t > 1 as three Beta functions.  An
     exponent equal to 2 is a removable pole of the sum, taken as the mean
     of its neighbours."""
+    from scipy import special
+
     terms = (
         special.beta(1.0 - e1, 1.0 - e2),
         special.beta(1.0 - e1, e1 + e2 - 1.0),
@@ -286,6 +290,8 @@ def _lattice_conv(
 ) -> np.ndarray:
     """Trapezoid sums over s in [-S, S] (S a multiple of h) of
     <s>^(-e_inner) <a-s>^(-e_outer), at a = a_lo + h j for j < n."""
+    from scipy import fft
+
     m = int(round(2.0 * S / h)) + 1
     s = -S + h * np.arange(m)
     fw = _bracket_pow(s, -e_inner)
@@ -326,6 +332,8 @@ def _conv_table(
         vals[:i0] = _conv_far(a[:i0], e_inner, e_outer)
         vals[i1:] = _conv_far(a[i1:], e_inner, e_outer)
         if i1 > i0:
+            from scipy import special
+
             S = h * math.ceil(2.0 * A_NEAR / h)
             E = e_inner + e_outer
             z = a[i0:i1] / S
@@ -792,11 +800,11 @@ def kernel_sup(spec: KernelSpec, R: float,
 
 # --- discrete trilinear bound ------------------------------------------------
 
-def _kernel_factors(spec: KernelSpec, f: GridFunction):
+def _kernel_factors(spec: KernelSpec, shape: tuple[int, int], box: tuple[float, float]):
     """Separable kernel factors on the 2D lattice: K(z1, z2) =
     a1(z1) * b2(z2) * cd(z1 - z2), differences taken cyclically."""
-    xi = f.frequencies(0)[:, None]
-    tau = f.frequencies(1)[None, :]
+    xi = wavenumbers(shape[0], box[0])[:, None]
+    tau = wavenumbers(shape[1], box[1])[None, :]
     sig_s = tau + xi * xi
     wave = np.abs(xi) if spec.sign == "plus" else -np.abs(xi)
     sig_w = tau + wave
@@ -809,10 +817,25 @@ def _kernel_factors(spec: KernelSpec, f: GridFunction):
         b2 = _bracket_pow(xi, -spec.k) * _bracket_pow(sig_s, -spec.b1)
         cd = _bracket_pow(xi, spec.l) * np.abs(xi) * _bracket_pow(sig_w, -spec.c)
     return (
-        np.broadcast_to(a1, f.shape).copy(),
-        np.broadcast_to(b2, f.shape).copy(),
-        np.broadcast_to(cd, f.shape).copy(),
+        np.broadcast_to(a1, shape).copy(),
+        np.broadcast_to(b2, shape).copy(),
+        np.broadcast_to(cd, shape).copy(),
     )
+
+
+@functools.lru_cache(maxsize=8)
+def _kernel_bound(spec: KernelSpec, shape: tuple[int, int], box: tuple[float, float]):
+    """(a1, b2, cd, sup_col): the kernel factors, read-only, and the kernel
+    column bound sup_{z1} sum_{z2} |K|^p with the lattice measure.  None of
+    it depends on the fields, so a trial pays only for their sums."""
+    a1, b2, cd = _kernel_factors(spec, shape, box)
+    for factor in (a1, b2, cd):
+        factor.flags.writeable = False
+    p = spec.p
+    mu = (2.0 * np.pi / box[0]) * (2.0 * np.pi / box[1])
+    col = _cyclic_convolution(cd**p, b2**p).real
+    np.maximum(col, 0.0, out=col)
+    return a1, b2, cd, float(np.max(a1**p * col)) * mu
 
 
 def _cyclic_correlation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -846,14 +869,10 @@ def trilinear_probe(
     p = spec.p
     pp = p / (p - 1.0)
     mu = (2.0 * np.pi / v.box[0]) * (2.0 * np.pi / v.box[1])
-    a1, b2, cd = _kernel_factors(spec, v)
+    a1, b2, cd, sup_col = _kernel_bound(spec, v.shape, v.box)
 
     corr = _cyclic_correlation(v1.modes * a1, v2.modes * b2)
     lhs = abs(np.sum(v.modes * cd * corr)) * mu * mu
-
-    col = _cyclic_convolution(cd**p, b2**p).real
-    np.maximum(col, 0.0, out=col)
-    sup_col = float(np.max(a1**p * col)) * mu
     rhs = (
         sup_col ** (1.0 / p)
         * _lp_norm(v1.modes, p, mu)

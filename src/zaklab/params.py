@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from . import ZaklabError
@@ -78,10 +79,9 @@ class ParamPoint:
                     f"{name} must lie in (1/p, 1] (got {v}, 1/p = {self.inv_p})"
                 )
 
-    @property
+    @cached_property
     def inv_p(self) -> Fraction:
         return 1 / self.p
-
 
 
 @dataclass(frozen=True)
@@ -98,11 +98,7 @@ class Constraint:
     strict: bool
 
     def value(self, pt: ParamPoint) -> Fraction:
-        ck, cl, cq, cb, cb1 = self.coeffs
-        return (
-            ck * pt.k + cl * pt.l + cq * pt.inv_p + cb * pt.b + cb1 * pt.b1
-            + self.const
-        )
+        return _affine(self.coeffs, (pt.k, pt.l, pt.inv_p, pt.b, pt.b1), self.const)
 
     def holds(self, pt: ParamPoint) -> bool:
         v = self.value(pt)
@@ -111,6 +107,20 @@ class Constraint:
     def slack(self, pt: ParamPoint) -> Fraction:
         """Positive inside the feasible half-space, negative outside."""
         return -self.value(pt)
+
+
+def _affine(coeffs, values, const: Fraction) -> Fraction:
+    """const + sum of c*v over the pairs, exactly: a term with c = 0 is
+    skipped and one with c = +-1 adds or subtracts v without a product."""
+    total = const
+    for c, v in zip(coeffs, values):
+        if c == 1:
+            total += v
+        elif c == -1:
+            total -= v
+        elif c:
+            total += c * v
+    return total
 
 
 def _c(label, k=0, l=0, q=0, b=0, b1=0, const=0, strict=False) -> Constraint:
@@ -218,8 +228,7 @@ def b1_feasibility_ceiling(l: RationalLike, p: RationalLike) -> Fraction:
 
 def _rest(con: Constraint, k: Fraction, l: Fraction, q: Fraction) -> Fraction:
     """The constraint's value at (k, l, 1/p) with its b and b1 terms left out."""
-    ck, cl, cq, _, _ = con.coeffs
-    return ck * k + cl * l + cq * q + con.const
+    return _affine(con.coeffs[:3], (k, l, q), con.const)
 
 
 def _free_constraints_hold(constraints, k: Fraction, l: Fraction, q: Fraction) -> bool:

@@ -556,6 +556,42 @@ def test_importing_the_cli_leaves_scipy_signal_out():
     assert done.returncode == 0
 
 
+# Run one command line in a fresh interpreter and print its exit code and
+# the scipy modules it loaded.
+SCIPY_FOOTPRINT_PROBE = """import contextlib, io, sys
+from zaklab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+@pytest.mark.parametrize("argv, loads_scipy", [
+    (["--version"], False),
+    (["admissible", *CORNER, "--b", "11/20", "--b1", "11/20"], False),
+    (["trilinear-test", "--trials", "1", "--grid", "8"], False),
+    (["simulate", "--n", "64", "--t-final", "0.01"], False),
+    # the one command that calls scipy, so the deferred import is exercised
+    (["kernel-scan", *CORNER, "--tier", "quick", "--r-max", "8", "--resolution",
+      "0.5", "--family", "S", "--sign", "plus"], True),
+])
+def test_only_kernel_scan_loads_scipy(argv, loads_scipy):
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_FOOTPRINT_PROBE, *argv], timeout=120,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    code, modules = done.stdout.strip().split(" ", 1)
+    if loads_scipy:
+        # the scan reaches its quadrature (exit 2 at this small a radius)
+        assert "scipy.special" in modules, done.stderr
+    else:
+        assert (code, modules) == ("0", "[]"), done.stderr
+
+
 POINT = ["--k", "0", "--l", "-1/2", "--p", "2"]
 FUZZ_COMMANDS = {"admissible": POINT + ["--b", "11/20", "--b1", "11/20"],
                  "window": POINT, "scaling": POINT, "optimize": [],

@@ -677,7 +677,7 @@ class TestKernelSup:
 def loop_trilinear_lhs(v, v1, v2, spec):
     n0, n1 = v.shape
     mu = (2 * np.pi / v.box[0]) * (2 * np.pi / v.box[1])
-    a1, b2, cd = K._kernel_factors(spec, v)
+    a1, b2, cd = K._kernel_factors(spec, v.shape, v.box)
     total = 0.0 + 0.0j
     for i1 in range(n0):
         for j1 in range(n1):
@@ -735,3 +735,51 @@ class TestTrilinearProbe:
         w = G.GridFunction(rng.uniform(size=(16, 16)), BOX2)
         with pytest.raises(K.KernelError, match="identical layout"):
             K.trilinear_probe(v, v, w, self.SPEC)
+
+
+def uncached_trilinear_probe(v, v1, v2, spec):
+    """trilinear_probe with every kernel factor and the column bound
+    rebuilt on the call, as before the memo."""
+    p = spec.p
+    pp = p / (p - 1.0)
+    mu = (2.0 * np.pi / v.box[0]) * (2.0 * np.pi / v.box[1])
+    a1, b2, cd = K._kernel_factors(spec, v.shape, v.box)
+    corr = K._cyclic_correlation(v1.modes * a1, v2.modes * b2)
+    lhs = abs(np.sum(v.modes * cd * corr)) * mu * mu
+    col = K._cyclic_convolution(cd**p, b2**p).real
+    np.maximum(col, 0.0, out=col)
+    sup_col = float(np.max(a1**p * col)) * mu
+    rhs = (
+        sup_col ** (1.0 / p)
+        * K._lp_norm(v1.modes, p, mu)
+        * K._lp_norm(v.modes, pp, mu)
+        * K._lp_norm(v2.modes, pp, mu)
+    )
+    return float(lhs), float(rhs)
+
+
+class TestKernelBoundMemo:
+    SPEC_A = K.KernelSpec("S", "minus", k=0.0, l=-0.5, p=2.0, b=0.55, b1=0.55, c1=0.44)
+    SPEC_B = K.KernelSpec("W", "plus", k=0.0, l=-0.5, p=1.5, b=0.72, b1=0.72, c=0.27)
+
+    def test_cached_bound_equals_a_fresh_build_across_specs(self):
+        K._kernel_bound.cache_clear()
+        rng = np.random.default_rng(8)
+        fields = [G.GridFunction(rng.uniform(size=(16, 16)), BOX2) for _ in range(3)]
+        for spec in (self.SPEC_A, self.SPEC_B, self.SPEC_A):
+            assert K.trilinear_probe(*fields, spec) == uncached_trilinear_probe(*fields, spec)
+        info = K._kernel_bound.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
+        # the key holds the layout too: another shape or box is another bound
+        for box in (BOX2, (np.pi, 4.0)):
+            other = [G.GridFunction(rng.uniform(size=(8, 32)), box) for _ in range(3)]
+            assert K.trilinear_probe(*other, self.SPEC_A) == uncached_trilinear_probe(
+                *other, self.SPEC_A)
+        assert K._kernel_bound.cache_info().misses == 4
+
+    def test_cached_factors_are_read_only(self):
+        *factors, sup_col = K._kernel_bound(self.SPEC_B, (8, 8), BOX2)
+        assert sup_col > 0
+        for factor in factors:
+            with pytest.raises(ValueError):
+                factor[0, 0] = 1.0

@@ -1,5 +1,7 @@
 """Exact-arithmetic tests for the admissibility algebra."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -87,6 +89,59 @@ class TestAdmissible:
         v = P.admissible(pt)
         assert len(v.margins) == len(P.CONSTRAINTS_K_NONNEG)
         assert len(v.satisfied) + len(v.violated) == len(v.margins)
+
+
+def dense_value(con, k, l, q, b, b1):
+    """The constraint's value as the full five-term sum, no term skipped."""
+    ck, cl, cq, cb, cb1 = con.coeffs
+    return ck * k + cl * l + cq * q + cb * b + cb1 * b1 + con.const
+
+
+def seeded_points(seed, count):
+    """Points over both branches, k = 0 among them, with exact rationals."""
+    rng = random.Random(seed)
+
+    def frac(lo, hi):  # a rational in (lo, hi)
+        return lo + F(rng.randrange(1, 97), 97) * (hi - lo)
+
+    out = []
+    for i in range(count):
+        p = frac(F(1), F(2)) if i % 5 else F(2)
+        k = F(0) if i % 4 == 0 else frac(F(-1), F(1))
+        lo = 1 / p
+        out.append(point(k, frac(F(-2), F(1)), p, frac(lo, F(1)), frac(lo, F(1))))
+    return out
+
+
+class TestConstraintValues:
+    """Constraint.value and the windows' partial sums skip zero terms and
+    add or subtract unit ones; exact arithmetic makes them the dense sum."""
+
+    CONSTRAINTS = P.CONSTRAINTS_K_NONNEG + P.CONSTRAINTS_K_NEG
+
+    def test_value_is_the_dense_sum(self):
+        for pt in seeded_points(11, 200):
+            for con in self.CONSTRAINTS:
+                value = con.value(pt)
+                assert type(value) is F
+                assert value == dense_value(con, pt.k, pt.l, F(1) / pt.p, pt.b, pt.b1)
+
+    def test_window_rest_is_the_dense_sum_without_b_and_b1(self):
+        for pt in seeded_points(12, 100):
+            q = 1 / pt.p
+            for con in self.CONSTRAINTS:
+                assert P._rest(con, pt.k, pt.l, q) == dense_value(con, pt.k, pt.l, q, 0, 0)
+
+    def test_replaced_points_recompute_inv_p(self):
+        for pt, other in zip(seeded_points(13, 50), seeded_points(14, 50)):
+            assert pt.inv_p == 1 / pt.p  # cached on pt from here on
+            moved = replace(pt, p=other.p, b=other.b, b1=other.b1, k=F(0))
+            assert moved.inv_p == 1 / other.p
+            assert moved == point(0, pt.l, other.p, other.b, other.b1)
+            assert hash(moved) == hash(point(0, pt.l, other.p, other.b, other.b1))
+            for con in self.CONSTRAINTS:
+                assert con.value(moved) == dense_value(
+                    con, moved.k, moved.l, F(1) / other.p, moved.b, moved.b1)
 
 
 @st.composite
