@@ -90,16 +90,19 @@ def to_first_order(
 
 class _Lawson:
     """The fixed per-config operators of the Lawson RK4 step, applied to a
-    spectral batch y of shape (batch, 3, n) whose rows are u, n_plus and
-    n_minus.  The linear factors are (3, n) stacks broadcast over the batch;
-    every operation acts on each member alone, with the operand order of
-    the scalar scheme, so a member's result does not depend on the batch."""
+    spectral batch y of shape (3, batch, n) whose blocks are u, n_plus and
+    n_minus, so every field is one contiguous (batch, n) block.  The linear
+    factors are (3, 1, n) stacks broadcast over the batch; every operation
+    acts on each member alone, with the operand order of the scalar scheme,
+    so a member's result does not depend on the batch.  The core owns all
+    its working memory: five stage buffers and the scratch of nonlinear,
+    rebuilt together when the batch shape changes."""
 
     def __init__(self, cfg: SolverConfig):
         n, dt = cfg.n, cfg.dt
         xi = wavenumbers(n, cfg.box)
         omega = _wave_symbol(xi, cfg.regularized)
-        lin = np.stack([-1j * xi * xi, -1j * omega, +1j * omega])
+        lin = np.stack([-1j * xi * xi, -1j * omega, +1j * omega])[:, None, :]
         self.dt = dt
         self.e = np.exp(dt * lin)
         self.h = np.exp(0.5 * dt * lin)
@@ -117,25 +120,34 @@ class _Lawson:
         self.bufs = ()
 
     def nonlinear(self, y, out):
-        """Write N(y) into out."""
-        mask = self.mask
-        u = np.fft.ifft(mask * y[:, 0])
-        nsum_hat = y[:, 1] + y[:, 2]
-        nsum = np.fft.ifft(mask * nsum_hat)
-        np.multiply(np.fft.fft(-0.5j * nsum * u), mask, out=out[:, 0])
-        sq_hat = np.fft.fft(u * np.conj(u)) * mask
-        np.multiply(self.neg_src, sq_hat, out=out[:, 1])
-        np.multiply(self.src_sym, sq_hat, out=out[:, 2])
+        """Write N(y) into out, with one inverse and one forward transform
+        of the stacked (2, batch, n) scratch pairs."""
+        mask, spec, phys, nsum_hat = self.mask, self.spec, self.phys, self.nsum_hat
+        np.add(y[1], y[2], out=nsum_hat)
+        np.multiply(mask, y[0], out=spec[0])
+        np.multiply(mask, nsum_hat, out=spec[1])
+        u, nsum = np.fft.ifft(spec, out=phys)
+        np.multiply(-0.5j, nsum, out=spec[0])   # -0.5j nsum u
+        np.multiply(spec[0], u, out=spec[0])
+        np.conjugate(u, out=spec[1])            # u conj(u)
+        np.multiply(u, spec[1], out=spec[1])
+        nu_hat, sq_hat = np.fft.fft(spec, out=phys)
+        np.multiply(nu_hat, mask, out=out[0])
+        np.multiply(sq_hat, mask, out=sq_hat)
+        np.multiply(self.neg_src, sq_hat, out=out[1])
+        np.multiply(self.src_sym, sq_hat, out=out[2])
         if self.couple is not None:
-            pull = self.couple * nsum_hat
-            out[:, 1] += pull
-            out[:, 2] -= pull
+            pull = np.multiply(self.couple, nsum_hat, out=spec[0])
+            out[1] += pull
+            out[2] -= pull
 
     def step(self, y):
         """One Lawson RK4 step for y' = L y + N(y), in place; the stage
         buffers are kept across steps."""
         if not self.bufs or self.bufs[0].shape != y.shape:
             self.bufs = tuple(np.empty_like(y) for _ in range(5))
+            self.spec, self.phys = (np.empty_like(y[:2]) for _ in range(2))
+            self.nsum_hat = np.empty_like(y[0])
         k1, k2, k3, k4, s = self.bufs
         half, sixth = 0.5 * self.dt, self.dt / 6.0
         self.nonlinear(y, k1)
@@ -163,40 +175,45 @@ class _Lawson:
 
 
 def _spectral(data, cfg: SolverConfig) -> np.ndarray:
-    """The spectral batch (batch, 3, n) of physical (u0, n0, n1) triples."""
+    """The field-major spectral batch (3, batch, n) of physical (u0, n0, n1)
+    triples."""
     fields = [
         (u0, *to_first_order(n0, n1, cfg.box, cfg.regularized))
         for u0, n0, n1 in data
     ]
-    return np.fft.fft(
-        np.asarray(fields, dtype=np.complex128).reshape(len(fields), 3, cfg.n)
-    )
+    fields = np.asarray(fields, dtype=np.complex128).reshape(len(fields), 3, cfg.n)
+    return np.fft.fft(np.ascontiguousarray(fields.transpose(1, 0, 2)))
 
 
 def _integrate(y: np.ndarray, cfg: SolverConfig, observe) -> list[float | None]:
-    """Advance the spectral batch y over cfg.steps Lawson RK4 steps.
+    """Advance the field-major spectral batch y over cfg.steps Lawson RK4
+    steps.
 
     observe(i, alive, y) sees step i, the indices of the members still
-    finite and their states, at step 0, every sample_stride steps and the
-    last step; a true return ends the run.  A member that turns nonfinite
-    leaves the batch at that step.  Returns each member's blow-up time
-    (the time of detection), None where it stayed finite.
+    finite and their states as a (batch, 3, n) view, at step 0, every
+    sample_stride steps and the last step; a true return ends the run.  A
+    member that turns nonfinite leaves the batch at that step.  Returns
+    each member's blow-up time (the time of detection), None where it
+    stayed finite.
     """
     lawson = _Lawson(cfg)
-    alive = np.arange(len(y))
-    blowup: list[float | None] = [None] * len(y)
-    if observe(0, alive, y):
+    alive = np.arange(y.shape[1])
+    blowup: list[float | None] = [None] * len(alive)
+    if observe(0, alive, y.transpose(1, 0, 2)):
         return blowup
     for i in range(1, cfg.steps + 1):
         lawson.step(y)
-        finite = np.isfinite(y).all(axis=(1, 2))
+        finite = np.isfinite(y).all(axis=(0, 2))
         if not finite.all():
             for j in alive[~finite]:
                 blowup[j] = i * cfg.dt
-            alive, y = alive[finite], y[finite]
+            # compress keeps the batch C-contiguous, which y[:, finite] does not
+            alive, y = alive[finite], y.compress(finite, axis=1)
             if not len(alive):
                 break
-        if (i % cfg.sample_stride == 0 or i == cfg.steps) and observe(i, alive, y):
+        if (i % cfg.sample_stride == 0 or i == cfg.steps) and observe(
+            i, alive, y.transpose(1, 0, 2)
+        ):
             break
     return blowup
 

@@ -2,6 +2,7 @@
 and the two empirical flow-map probes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,74 @@ class TestStepAndEvolve:
             assert len(solo) == cfg.steps + 1
             for (i, _), row in solo.items():
                 assert np.array_equal(seen[i, member], row)
+
+
+def zakharov_energy(y, cfg):
+    """E = |u_x|^2 + int n|u|^2 + |n|^2/2 + |v|^2/2 of each member of an
+    observed spectral batch, with n = (n_plus + n_minus)/2 and v the
+    zero-mean antiderivative of n_t, v_hat = n_t_hat/(i xi), under the
+    regularized half-wave symbol omega = sqrt(xi^2 + 1)."""
+    xi = G.wavenumbers(cfg.n, cfg.box)
+    omega = np.sqrt(xi * xi + 1.0)
+    u_hat, p_hat, m_hat = y[:, 0], y[:, 1], y[:, 2]
+    n_hat = (p_hat + m_hat) / 2.0
+    nt_hat = -1j * omega * (p_hat - m_hat) / 2.0
+    v_hat = np.zeros_like(nt_hat)
+    v_hat[:, xi != 0] = nt_hat[:, xi != 0] / (1j * xi[xi != 0])
+    parseval = cfg.box / cfg.n**2  # int |f|^2 dx = box/n^2 sum |f_hat|^2
+
+    def sq(f_hat):
+        return parseval * np.sum(np.abs(f_hat) ** 2, axis=-1)
+
+    u, n = np.fft.ifft(u_hat), np.fft.ifft(n_hat).real
+    potential = (cfg.box / cfg.n) * np.sum(n * np.abs(u) ** 2, axis=-1)
+    return sq(xi * u_hat) + potential + 0.5 * sq(n_hat) + 0.5 * sq(v_hat)
+
+
+class TestEnergyOracle:
+    """The regularized reduction is exactly Zakharov (n_tt - n_xx =
+    (|u|^2)_xx), whose Hamiltonian is conserved; the RK4 scheme's drift in
+    it must fall at fourth order in dt (Bao & Sun 2005, SIAM J. Sci.
+    Comput. 26)."""
+
+    def drift(self, dt):
+        u0, n0, n1 = S.gaussian_focusing_data(256, 32.0, 2.0)
+        cfg = S.SolverConfig(n=256, box=32.0, dt=dt, t_final=0.5)
+        data = [(u0.to_samples(), n0.to_samples().real, n1.to_samples().real)]
+        energies = []
+        S._integrate(S._spectral(data, cfg), cfg,
+                     lambda i, alive, y: energies.append(zakharov_energy(y, cfg)[0]))
+        return max(abs(e - energies[0]) for e in energies)
+
+    def test_energy_drift_is_fourth_order(self):
+        drifts = [self.drift(dt) for dt in (2e-3, 1e-3, 5e-4)]
+        assert drifts[0] < 1e-7
+        for coarse, fine in zip(drifts, drifts[1:]):
+            assert math.log2(coarse / fine) >= 3.5
+
+
+class TestLawsonCore:
+    def test_warm_step_peak_allocation_stays_under_the_trim_threshold(self):
+        # numpy's broadcasting ufuncs take an iterator buffer of about 80 KiB
+        # here, one call at a time; a (20, 256) complex temporary (80 KiB)
+        # held next to it crosses glibc's default mmap and trim threshold
+        cfg = S.SolverConfig(n=256, box=32.0)
+        rng = np.random.default_rng(0)
+        data = [
+            (rng.normal(size=cfg.n) + 1j * rng.normal(size=cfg.n),
+             rng.normal(size=cfg.n), np.zeros(cfg.n))
+            for _ in range(20)
+        ]
+        y = S._spectral(data, cfg)
+        lawson = S._Lawson(cfg)
+        lawson.step(y)
+        tracemalloc.start()
+        try:
+            lawson.step(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 1024
 
 
 class TestLipschitzProbe:
