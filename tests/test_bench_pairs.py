@@ -47,3 +47,34 @@ def test_higher_is_better_and_unknown_metrics_get_no_verdict():
     assert out["metrics"]["peak_rss_mb"]["pairs_won"] == 2
     assert "pairs_won" not in out["metrics"]["wall_s"]
     assert out["metrics"]["wall_s"]["better"] is None
+
+
+def test_runs_last_as_long_as_the_changes_benchmark_fixes(tmp_path, monkeypatch):
+    roots = {}
+    for side in ("parent", "change"):
+        root = tmp_path / side
+        (root / "zakbench").mkdir(parents=True)
+        (root / "zakbench" / "run.py").write_text("")
+        (root / "BENCHMARK.json").write_text(
+            '{"run_seconds": 7, "end_to_end": [{"name": "wall_s", "better": "lower"}]}'
+        )
+        roots[side] = root
+    calls = []
+
+    def fake_run_once(root, workload, seed, seconds, trace):
+        calls.append((root.name, seconds))
+        return run(1.0 if root.name == "parent" else 0.5, 40.0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(roots["parent"]), "--change",
+                             str(roots["change"]), "--workload", "flow", "--seed", "1",
+                             "--pairs", "2", "--out", str(out)]) == 0
+    assert calls == [("parent", 7), ("change", 7), ("change", 7), ("parent", 7)]
+    entry = bench_pairs.json.loads(out.read_text())["runs"]["flow/1"]
+    assert entry["seconds"] == 7
+    assert entry["metrics"]["wall_s"]["pairs_won"] == 2
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--parent", str(roots["parent"]), "--change",
+                          str(roots["change"]), "--workload", "flow", "--seed", "1",
+                          "--pairs", "1", "--seconds", "20", "--out", str(out)])

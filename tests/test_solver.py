@@ -242,9 +242,11 @@ class TestEnergyOracle:
 
 class TestLawsonCore:
     def test_warm_step_peak_allocation_stays_under_the_trim_threshold(self):
-        # numpy's broadcasting ufuncs take an iterator buffer of about 80 KiB
-        # here, one call at a time; a (20, 256) complex temporary (80 KiB)
-        # held next to it crosses glibc's default mmap and trim threshold
+        # numpy's broadcasting ufuncs take an iterator buffer of at most
+        # np.getbufsize() elements, one call at a time: 5120 complex elements,
+        # 80 KiB, here, with the size pinned to numpy's default of 8192.  A
+        # (20, 256) complex temporary (80 KiB) held next to it crosses
+        # glibc's default mmap and trim threshold
         cfg = S.SolverConfig(n=256, box=32.0)
         rng = np.random.default_rng(0)
         data = [
@@ -255,12 +257,14 @@ class TestLawsonCore:
         y = S._spectral(data, cfg)
         lawson = S._Lawson(cfg)
         lawson.step(y)
+        old_bufsize = np.setbufsize(8192)
         tracemalloc.start()
         try:
             lawson.step(y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+            np.setbufsize(old_bufsize)
         assert peak < 128 * 1024
 
 

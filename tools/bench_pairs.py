@@ -1,12 +1,13 @@
 """Alternating before/after runs of zakbench, summarised into one JSON file.
 
     python3 tools/bench_pairs.py --parent ../zaklab-parent --change . \\
-        --workload flow --seed 1 --pairs 10 --seconds 20 --out BENCH.json
+        --workload flow --seed 1 --pairs 10 --out BENCH.json
 
 Each pair runs `zakbench/run.py` once in each checkout, one after the
 other; which side goes first flips from pair to pair, so a host that
 speeds up or slows down during the runs favours neither side.  Every run
-uses the zakbench of its own checkout.
+uses the zakbench of its own checkout, for the `run_seconds` that the
+change's BENCHMARK.json fixes.
 
 The output file holds one entry per (workload, seed[, trace]).  For each
 metric of the runs' last line it gives both sides' medians and quartiles,
@@ -49,9 +50,12 @@ def checkout_info(root: Path) -> dict:
     }
 
 
-def directions(root: Path) -> dict[str, str]:
-    """Metric name -> "lower" or "higher", from the checkout's BENCHMARK.json."""
-    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+def benchmark_spec(root: Path) -> dict:
+    return json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
+def directions(spec: dict) -> dict[str, str]:
+    """Metric name -> "lower" or "higher", from a BENCHMARK.json."""
     return {
         metric["name"]: metric["better"]
         for group in ("end_to_end", "per_layer")
@@ -118,16 +122,17 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=("certify", "flow", "region"))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seconds <= 0:
-        parser.error("--pairs and --seconds must be positive")
+    if args.pairs < 1:
+        parser.error("--pairs must be positive")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, root in roots.items():
         if not (root / "zakbench" / "run.py").is_file():
             parser.error(f"--{side} {root} holds no zakbench/run.py")
+    spec = benchmark_spec(roots["change"])
+    seconds = spec["run_seconds"]
 
     info = {side: checkout_info(root) for side, root in roots.items()}
     report = {"parent": info["parent"], "change": info["change"], "runs": {}}
@@ -143,7 +148,7 @@ def main(argv=None) -> int:
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for side in order:
             runs[side].append(run_once(roots[side], args.workload, args.seed,
-                                       args.seconds, args.trace))
+                                       seconds, args.trace))
         print(f"pair {pair + 1}/{args.pairs}: " + ", ".join(
             f"{side} {runs[side][-1]['metrics']}" for side in SIDES
         ), file=sys.stderr)
@@ -152,11 +157,11 @@ def main(argv=None) -> int:
     report["runs"][key] = {
         "workload": args.workload,
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "trace": args.trace,
         "pairs": args.pairs,
         "first_in_pair": "parent on odd pairs, change on even pairs",
-        **summarise(runs, directions(roots["change"])),
+        **summarise(runs, directions(spec)),
     }
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
