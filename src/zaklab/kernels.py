@@ -40,17 +40,17 @@ are nested across the radius ladder and the table depends only on its
 argument, so the xi2-truncated masses are monotone in the radius.
 
 One kernel_mass serves both families; each fact that differs by family
-is written once: the xi2 nodes and amplitudes (_pieces), the outer weight
-(_prefactor, shared with tail_mass) and the sigma2 table's span
-(_complete_table).  The nodes and amplitudes depend on the outer xi
-alone, not on sigma, so kernel_mass takes an array of sigma values, and a
-tuple of radii: kernel_sup's work items are per xi.  With a power-of-two
-step the y and u nodes and the offsets sigma -+ xi^2 lie on the table's
-h-lattice, and reading the table there is a slice that is bitwise equal
-to its interpolation (_ConvTable.at); only off-lattice arguments are
-interpolated.  On that lattice a smaller radius's y nodes are a prefix,
-and its u nodes a centred sub-slice, of the largest radius's, so one
-integrand per sigma serves every radius whose nodes nest, and each
+is written once: the xi2 node sets (_node_sets) and amplitudes
+(_pieces), the outer weight (_prefactor, shared with tail_mass) and the
+sigma2 table's span (_complete_table).  The nodes and amplitudes depend
+on the outer xi alone, not on sigma, so kernel_mass takes an array of
+sigma values, and a tuple of radii: kernel_sup's work items are per xi.
+Every node lies on the table's h-lattice, h a power of two; inputs whose
+node ranges leave it are rejected.  Reading the table at the y and u
+nodes is a slice, bitwise equal to its interpolation (_ConvTable.at);
+only the xi2^2 patch and bases sigma -+ xi^2 off the lattice are
+interpolated.  A smaller radius's nodes are a sub-slice of the largest
+radius's, so one integrand per sigma serves the whole ladder, and each
 radius's trapezoid is a sum over its own span of the same pair sums.
 """
 
@@ -154,11 +154,9 @@ def _bracket_pow(x: np.ndarray, expo: float) -> np.ndarray:
 
 
 def _lattice_index(x: float, h: float) -> int | None:
-    """The integer j with x == j h, when h is a power of two and |j| is
-    below 2^51, so that sums of three such lattice points are exact in
-    floats; else None."""
-    if math.frexp(h)[0] != 0.5:
-        return None
+    """The integer j with x == j h, when |j| is below 2^51, so that sums
+    of three such lattice points are exact in floats; else None.  h is a
+    power of two, so x / h is exact."""
     j = x / h
     if not j.is_integer() or abs(j) >= 2.0**51:
         return None
@@ -171,7 +169,7 @@ class _ConvTable:
     s in [-R, R], or over all of the real line for the complete table.
 
     Arguments on the table's own lattice a0 + h j are read as a slice
-    (lattice_start, at); anything else is interpolated (__call__)."""
+    (at); anything else is interpolated (__call__)."""
 
     a0: float
     h: float
@@ -192,36 +190,24 @@ class _ConvTable:
         out += lo
         return out
 
-    def lattice_start(self, nodes: np.ndarray) -> int | None:
-        """The lattice index j with nodes[i] == (j + i) h exactly for every
-        i, or None when nodes are not consecutive points of the h-lattice
-        (or h is not a power of two).  Checked once per node set, so that
-        at() costs O(1) per call on top of the slice."""
-        first = _lattice_index(float(nodes[0]), self.h)
-        if first is None or abs(first) + len(nodes) >= 2**51:
-            return None
-        if not np.array_equal(nodes, (first + np.arange(len(nodes))) * self.h):
-            return None
-        return first
+    def at(self, base: float, first: int, n: int) -> np.ndarray:
+        """self(base + nodes), bit for bit, at the n lattice nodes
+        h (first + i).
 
-    def at(self, base: float, nodes: np.ndarray, first: int | None) -> np.ndarray:
-        """self(base + nodes), bit for bit, with first = lattice_start(nodes).
-
-        When base and a0 are lattice points too, every interpolation index
-        is an exact integer j0 + i with fraction 0.0, so for the finite
-        values _conv_table builds the interpolation returns values[j0 + i]
+        When base is a lattice point too, every interpolation index is an
+        exact integer j0 + i with fraction 0.0, so for the finite values
+        _conv_table builds the interpolation returns values[j0 + i]
         exactly, and the result is the read-only view values[j0 : j0 + n].
         The last table entry is left to __call__, which reads it as the
         entry before it plus a fraction of 1.0, not bitwise the entry
-        itself.  Every other argument set is interpolated."""
-        if first is not None:
-            b = _lattice_index(base, self.h)
-            a = _lattice_index(self.a0, self.h)
-            if b is not None and a is not None:
-                j0 = b - a + first
-                if 0 <= j0 and j0 + len(nodes) <= len(self.values) - 1:
-                    return self.values[j0 : j0 + len(nodes)]
-        return self(base + nodes)
+        itself.  A base off the lattice is interpolated."""
+        b = _lattice_index(base, self.h)
+        a = _lattice_index(self.a0, self.h)
+        if b is not None and a is not None:
+            j0 = b - a + first
+            if 0 <= j0 and j0 + n <= len(self.values) - 1:
+                return self.values[j0 : j0 + n]
+        return self(base + self.h * (first + np.arange(n)))
 
 
 # The complete table is a lattice convolution for |a| <= A_NEAR, over an
@@ -361,69 +347,44 @@ def _floor_tiny(vals: np.ndarray) -> None:
         vals[vals < TINY_FLOOR] = 0.0
 
 
-def _trapezoid(pair: np.ndarray, dx: np.ndarray | None, step: float) -> float:
-    """The sum np.trapezoid(v, x) evaluates for 1-D input, from the pair
-    sums pair = v[1:] + v[:-1] and the spacings dx = np.diff(x).  With
-    dx None every spacing is exactly step, a power of two: scaling by it
-    commutes with every rounding of the sum, so pair.sum() * (step / 2.0)
-    is bitwise (dx * pair / 2.0).sum()."""
-    if dx is None:
-        return float(pair.sum()) * (step / 2.0)
-    return float((dx * pair / 2.0).sum())
-
-
-def _nest(node_sets: dict[int, np.ndarray]) -> list[tuple[np.ndarray, dict]]:
-    """Group the node sets of a radius ladder, keyed by ladder index in
-    ascending order, by nesting: each group is the node set of its largest
-    radius with, per ladder index, the span (lo, hi) of its pair sums
-    whose nodes are exactly that index's own.  Sets that are not an exact
-    sub-slice of a larger one (a step such as 0.3) form their own group."""
-    groups = []
-    for i in reversed(list(node_sets)):
-        x = node_sets[i]
-        for top, spans in groups:
-            lo = int(np.searchsorted(top, x[0]))
-            if lo + len(x) <= len(top) and np.array_equal(top[lo:lo + len(x)], x):
-                spans[i] = (lo, lo + len(x) - 1)
-                break
-        else:
-            groups.append((x, {i: (0, len(x) - 1)}))
-    return groups
+def _trapezoid(pair: np.ndarray, step: float) -> float:
+    """The sum np.trapezoid(v, x) evaluates for 1-D input with spacings
+    exactly step, a power of two, from the pair sums pair = v[1:] +
+    v[:-1]: scaling by step commutes with every rounding of the sum, so
+    pair.sum() * (step / 2.0) is bitwise (np.diff(x) * pair / 2.0).sum()."""
+    return float(pair.sum()) * (step / 2.0)
 
 
 class _Integrand:
     """One piece of the xi2 integral, amp * table(base + args), divided by
-    divisor when given, integrated by the trapezoid over nodes; args are
-    the nodes unless given.  It is built once on the largest node set of
-    a nesting group, with buffers reused for every base; the integral of
-    each radius in the group is a sum over its own span of the same pair
-    sums.  The floor and the pair sums act elementwise, so each span's
-    integral is bitwise the one of that radius's own node set.  Buffers
-    are per instance, so instances are not shared between threads."""
+    divisor when given, integrated by the trapezoid over the largest
+    radius's nodes; args are those nodes, h (first + i), unless given (the
+    xi2 patch, read at xi2^2).  The integral of each ladder index is a sum
+    over its own span (lo, hi) of the same pair sums; the floor and the
+    pair sums act elementwise, so it is bitwise the one of that radius's
+    own nodes.  Buffers are reused for every base and are per instance,
+    so instances are not shared between threads."""
 
-    def __init__(self, table: _ConvTable, nodes, amp, spans, divisor=None, args=None):
-        self.table, self.amp, self.spans, self.divisor = table, amp, spans, divisor
-        start = table.lattice_start(nodes)
-        self.dx = None if start is not None else np.diff(nodes)
-        self.args = nodes if args is None else args
-        self.first = start if args is None else table.lattice_start(args)
-        self.buf = np.empty(len(nodes))
-        self.pair = np.empty(len(nodes) - 1)
+    def __init__(self, table: _ConvTable, amp, spans, first=None, divisor=None,
+                 args=None):
+        self.table, self.amp, self.spans = table, amp, spans
+        self.first, self.divisor, self.args = first, divisor, args
+        self.buf = np.empty(len(amp))
+        self.pair = np.empty(len(amp) - 1)
 
     def integrals(self, base: float):
-        """(ladder index, integral) over the group at one base."""
-        if self.first is None:  # args off the lattice, as in the xi2 patch
-            vals = self.table(base + self.args)
+        """(ladder index, integral) over the ladder at one base."""
+        if self.args is None:
+            vals = self.table.at(base, self.first, len(self.buf))
         else:
-            vals = self.table.at(base, self.args, self.first)
+            vals = self.table(base + self.args)
         buf = np.multiply(self.amp, vals, out=self.buf)
         if self.divisor is not None:
             np.divide(buf, self.divisor, out=buf)
         _floor_tiny(buf)
         pair = np.add(buf[1:], buf[:-1], out=self.pair)
         for i, (lo, hi) in self.spans.items():
-            dx = None if self.dx is None else self.dx[lo:hi]
-            yield i, _trapezoid(pair[lo:hi], dx, self.table.h)
+            yield i, _trapezoid(pair[lo:hi], self.table.h)
 
 
 def _ladder_masses(pieces: list[_Integrand], bases, prefs, scale: float,
@@ -493,41 +454,72 @@ def _prefactor(spec: KernelSpec, outer1: float, outer2: float) -> float:
             * abs(outer1) ** p)
 
 
-def _pieces(spec: KernelSpec, xi: float, radii: tuple[float, ...], h: float,
+def _node_sets(family: str, xi: float, radii: tuple[float, ...],
+               h: float) -> dict[str, tuple[int, int, dict]]:
+    """The xi2 node sets of spec's family at the outer xi, u in
+    [-2|xi| r, 2|xi| r] (W), or the patch xi2 in [-min(1, r), min(1, r)]
+    and y in [1, r^2] for r > 1 (S), each as (first, n, spans): its nodes
+    are the lattice points h (first + i) for i < n, and spans[ladder index]
+    the (lo, hi) of that radius's own nodes among them.  Raises
+    KernelError unless h is a power of two and every range runs a whole,
+    positive number of steps between lattice points.  W has no nodes at
+    xi = 0, where its prefactor |xi|^p vanishes."""
+    if math.frexp(h)[0] != 0.5:
+        raise KernelError(f"resolution must be a power of two (got {h})")
+
+    def node_set(name: str, ranges: dict[int, tuple[float, float, float]]):
+        ends = {}
+        for i, (r, lo, hi) in ranges.items():
+            a, b = _lattice_index(lo, h), _lattice_index(hi, h)
+            if a is None or b is None or b <= a:
+                raise KernelError(
+                    f"the {name} range [{lo}, {hi}] of radius {r} at xi = {xi} "
+                    f"is not a whole, positive number of steps {h} on the lattice")
+            ends[i] = (a, b)
+        first = min(a for a, _ in ends.values())
+        n = max(b for _, b in ends.values()) - first + 1
+        return first, n, {i: (a - first, b - first) for i, (a, b) in ends.items()}
+
+    if family == FAMILY_WAVE_SOURCE:
+        w = 2.0 * abs(xi)
+        return {"u": node_set("u", {i: (r, -w * r, w * r)
+                                    for i, r in enumerate(radii)})} if xi else {}
+    sets = {"patch": node_set("xi2 patch", {i: (r, -min(1.0, r), min(1.0, r))
+                                            for i, r in enumerate(radii)})}
+    ys = {i: (r, 1.0, r * r) for i, r in enumerate(radii) if r > 1.0}
+    return {**sets, "y": node_set("y", ys)} if ys else sets
+
+
+def _pieces(spec: KernelSpec, xi: float, sets: dict, h: float,
             table: _ConvTable) -> list[_Integrand]:
-    """The xi2 integrands of spec's family at the outer xi, one per nesting
-    group of the radii's node sets.  S: the patch |xi2| <= min(1, R), read
-    at y = xi2^2, then y = xi2^2 in [1, R^2], both signs of xi2 in one
-    amplitude, with divisor 2 sqrt(y) for d xi2 = dy / (2 sqrt(y)).  W:
-    u = 2 xi xi2 in [-2|xi|R, 2|xi|R]; kernel_mass divides by 2|xi|."""
+    """The xi2 integrands of spec's family at the outer xi, one per node
+    set of _node_sets.  S: the patch |xi2| <= min(1, R), read at y =
+    xi2^2, then y = xi2^2 in [1, R^2], both signs of xi2 in one amplitude,
+    with divisor 2 sqrt(y) for d xi2 = dy / (2 sqrt(y)).  W: u = 2 xi xi2
+    in [-2|xi|R, 2|xi|R]; kernel_mass divides by 2|xi|."""
     p = spec.p
-    pieces = []
+
+    def nodes(name: str):
+        first, n, spans = sets[name]
+        return h * (first + np.arange(n)), first, spans
+
     if spec.family == FAMILY_WAVE_SOURCE:
-        us = {}
-        for i, r in enumerate(radii):
-            U = 2.0 * abs(xi) * r
-            us[i] = np.linspace(-U, U, int(round(2.0 * U / h)) + 1)
-        for u, spans in _nest(us):
-            xi2 = u / (2.0 * xi)
-            amp = _bracket_pow(xi + xi2, -spec.k * p) * _bracket_pow(xi2, -spec.k * p)
-            pieces.append(_Integrand(table, u, amp, spans))
-        return pieces
-    patches = {}
-    for i, r in enumerate(radii):
-        w0 = min(1.0, r)
-        patches[i] = np.linspace(-w0, w0, max(3, int(round(2.0 * w0 / h)) + 1))
-    for xi2, spans in _nest(patches):
-        amp_in = _bracket_pow(xi - xi2, -spec.l * p) * _bracket_pow(xi2, -spec.k * p)
-        pieces.append(_Integrand(table, xi2, amp_in, spans, args=xi2 * xi2))
-    ys = {i: np.linspace(1.0, r * r, int(round((r * r - 1.0) / h)) + 1)
-          for i, r in enumerate(radii) if r > 1.0}
-    for y, spans in _nest(ys):
+        u, first, spans = nodes("u")
+        xi2 = u / (2.0 * xi)
+        amp = _bracket_pow(xi + xi2, -spec.k * p) * _bracket_pow(xi2, -spec.k * p)
+        return [_Integrand(table, amp, spans, first=first)]
+    xi2, _, spans = nodes("patch")
+    amp_in = _bracket_pow(xi - xi2, -spec.l * p) * _bracket_pow(xi2, -spec.k * p)
+    pieces = [_Integrand(table, amp_in, spans, args=xi2 * xi2)]
+    if "y" in sets:
+        y, first, spans = nodes("y")
         root = np.sqrt(y)
         amp_out = (
             _bracket_pow(xi - root, -spec.l * p)
             + _bracket_pow(xi + root, -spec.l * p)
         ) * _bracket_pow(root, -spec.k * p)
-        pieces.append(_Integrand(table, y, amp_out, spans, divisor=2.0 * root))
+        pieces.append(_Integrand(table, amp_out, spans, first=first,
+                                 divisor=2.0 * root))
     return pieces
 
 
@@ -544,15 +536,17 @@ def kernel_mass(
     outer2 may be an array: the xi2 nodes and amplitudes are built once,
     and each outer2 costs one table read and one trapezoid per node set.
     R may be an ascending tuple of radii when a table is given; one
-    integrand per outer2 then serves every radius whose nodes nest.  The
-    result is a float for scalar outer2 and R, else an array with one axis
-    per array argument, radii first; each entry is bitwise the scalar call
-    at that radius and outer2 with the same table."""
+    integrand per outer2 then serves every radius.  The result is a float
+    for scalar outer2 and R, else an array with one axis per array
+    argument, radii first; each entry is bitwise the scalar call at that
+    radius and outer2 with the same table.  Node ranges off the lattice
+    raise KernelError (_node_sets) before any table is built."""
     radii = _radii(R)
     sigmas = np.atleast_1d(np.asarray(outer2, dtype=float)).tolist()
     schrodinger = spec.family == FAMILY_SCHRODINGER_PRODUCT
     if not schrodinger and outer1 == 0.0:
         return _shaped([[0.0] * len(sigmas) for _ in radii], outer2, R)
+    sets = _node_sets(spec.family, outer1, radii, resolution)
     if table is None:
         # the truncated sigma2 table depends on the radius
         if len(radii) > 1:
@@ -564,7 +558,7 @@ def kernel_mass(
     # a scale of 1.0 divides exactly
     scale = 1.0 if schrodinger else 2.0 * abs(outer1)
     masses = _ladder_masses(
-        _pieces(spec, outer1, radii, resolution, table),
+        _pieces(spec, outer1, sets, resolution, table),
         [s + shift for s in sigmas],
         [_prefactor(spec, outer1, s) for s in sigmas],
         scale, len(radii),
@@ -746,22 +740,24 @@ def kernel_sup(spec: KernelSpec, R: float,
     outer xi: one kernel_mass call takes every sigma paired with xi at the
     largest radius and every radius of the ladder that keeps xi, so the
     xi2 nodes and amplitudes are built once per item and one integrand
-    per sigma serves every radius whose nodes nest.  The reduction is an
-    exact maximum over each radius's outer points in a fixed order, hence
-    identical results for any worker count (ZAKLAB_WORKERS).
+    per sigma serves the whole ladder.  The reduction is an exact maximum
+    over each radius's outer points in a fixed order, hence identical
+    results for any worker count (ZAKLAB_WORKERS).  A ladder that leaves
+    the lattice (_node_sets) raises KernelError before the table is built.
     """
     radii = tuple(f * R for f in LADDER)
     top = _outer_points(spec.family, R, radii[-1])
+    items = [(xi, [s for _, s in group], tuple(r for r in radii if xi <= r))
+             for xi, group in groupby(top, key=lambda pt: pt[0])]
+    for xi, _, kept in items:
+        _node_sets(spec.family, xi, kept, resolution)
     table = _complete_table(spec, top, radii[-1], resolution)
     rates = tail_exponents(spec)
     complete = _tails_converge(rates)
-    items = [(xi, [s for _, s in group])
-             for xi, group in groupby(top, key=lambda pt: pt[0])]
 
     def job(item):
-        xi, sigmas = item
-        kept = tuple(r for r in radii if xi <= r)
-        return kept, kernel_mass(spec, xi, sigmas, kept, resolution, table)
+        xi, sigmas, kept = item
+        return kernel_mass(spec, xi, sigmas, kept, resolution, table)
 
     n_workers = worker_count()
     if n_workers > 1:
@@ -770,7 +766,7 @@ def kernel_sup(spec: KernelSpec, R: float,
     else:
         batches = [job(item) for item in items]
     mass_at = {radius: {} for radius in radii}
-    for (xi, sigmas), (kept, batch) in zip(items, batches):
+    for (xi, sigmas, kept), batch in zip(items, batches):
         for radius, row in zip(kept, batch.tolist()):
             mass_at[radius].update(((xi, s), m) for s, m in zip(sigmas, row))
 

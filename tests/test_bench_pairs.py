@@ -78,3 +78,30 @@ def test_runs_last_as_long_as_the_changes_benchmark_fixes(tmp_path, monkeypatch)
         bench_pairs.main(["--parent", str(roots["parent"]), "--change",
                           str(roots["change"]), "--workload", "flow", "--seed", "1",
                           "--pairs", "1", "--seconds", "20", "--out", str(out)])
+
+
+STUB_RUN = """import json, sys
+print(json.dumps({"details": {"absent": %r}}))
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
+    "wall_s": {"value": 1.0, "unit": "s"}}}))
+"""
+
+
+def test_traced_entry_records_each_sides_absent_names(tmp_path):
+    roots = {}
+    for side, absent in (("parent", []), ("change", ["kernels.kernel_mass"])):
+        root = tmp_path / side
+        (root / "zakbench").mkdir(parents=True)
+        (root / "zakbench" / "run.py").write_text(STUB_RUN % absent)
+        (root / "BENCHMARK.json").write_text('{"run_seconds": 1}')
+        roots[side] = root
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(roots["parent"]), "--change", str(roots["change"]),
+            "--workload", "certify", "--seed", "1", "--pairs", "2", "--out", str(out)]
+    assert bench_pairs.main(argv + ["--trace", "1"]) == 0
+    assert bench_pairs.main(argv) == 0
+    runs = bench_pairs.json.loads(out.read_text())["runs"]
+    assert runs["certify/1/trace"]["absent"] == {
+        "parent": [], "change": ["kernels.kernel_mass"]}
+    assert runs["certify/1/trace"]["attempted"] == {"parent": 6, "change": 6}
+    assert "absent" not in runs["certify/1"]

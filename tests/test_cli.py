@@ -162,11 +162,26 @@ class TestKernelScanCommand:
 
         monkeypatch.setattr(cli.kernels, "kernel_sup", counted)
         code, doc = run_json(capsys, "kernel-scan", "--k", "0", "--l", "-1/2",
-                             "--p", "2", "--r-max", "12", "--resolution", "0.5")
+                             "--p", "2", "--r-max", "8", "--resolution", "0.5")
         assert calls == ["S", "W"]
         cells = doc["payload"]["diagnostics"]
         assert sorted(cells) == ["S/minus", "S/plus", "W/minus", "W/plus"]
         assert cells["S/plus"] == cells["S/minus"]
+
+    def test_rejected_ladder_builds_no_table(self, capsys, monkeypatch):
+        built = []
+
+        def builder(*args, **kwargs):
+            built.append(args)
+            raise AssertionError("a rejected ladder reached the sigma2 table")
+
+        monkeypatch.setattr(cli.kernels, "_complete_table", builder)
+        for size in (["--tier", "quick", "--resolution", "0.3"], ["--r-max", "10"]):
+            code = cli.main(["kernel-scan", "--k", "0", "--l", "-1/2", "--p", "2",
+                             *size])
+            err = capsys.readouterr().err
+            assert (code, built) == (2, []), size
+            assert err.startswith("zaklab: error: ") and len(err.splitlines()) == 1
 
 
 PAYLOAD_SHA256 = {
@@ -174,10 +189,6 @@ PAYLOAD_SHA256 = {
     ("corner", "quick", "S", True): "7dc04e7f7b92a353df4c4419da7c1072c4cbf1049504f340e2a32ff8945442a7",
     ("corner", "quick", "W", False): "58d613e04cb4406390c7f3e6b1b1f8d2fcf1e49fd27333f4960184e9e946330b",
     ("corner", "quick", "W", True): "710f7f156040dd15efc2bf1502806724818780e5ef9c97be983a337016f5fb9e",
-    ("corner", "r10h03", "S", False): "cfd420081bcfc396a3f75baa692c4bbf60e6ef0d794561703cda3988122a3287",
-    ("corner", "r10h03", "S", True): "674d4952014446824bd46bf2cabeccc240c53faa58c7de3c27c5529b83b823db",
-    ("corner", "r10h03", "W", False): "e78bb39e9233848bc276df82676ae381de48b1112f6c538825f227288d09487e",
-    ("corner", "r10h03", "W", True): "443764b0d4956ead4a4481510c89b98094c7720d0e77ba543c0bbf10f8df276f",
     ("corner", "r6h025", "S", False): "bba4335f4f66e67a8c67c7f6e38811ef5dd2c2c8cb1ae9f1954e749a59d3f562",
     ("corner", "r6h025", "S", True): "83718f63e5ea87ccbe5879531322c2e105bac5b5933dc45d91d4b0467685ce1f",
     ("corner", "r6h025", "W", False): "91283e8995a15acae62ce633d42254dae8dae5fca8d9abe2cd57a88d48a3f729",
@@ -186,10 +197,6 @@ PAYLOAD_SHA256 = {
     ("optimal", "quick", "S", True): "dad6f4819ed8d390cccd94dd9765290af8ad39526adbd4fd3d9d39bae08b4dfc",
     ("optimal", "quick", "W", False): "e0e1a71addb31235d2a83633ccd585d1ece7645602948d9d970d056bb40e2c37",
     ("optimal", "quick", "W", True): "474242e47cb9bef5607fb9c42ad421545f639bb966cf690a672153cfb2116260",
-    ("optimal", "r10h03", "S", False): "c4fe58c0ec071c5fc75146fa90d1fe7a1098774e7ae4f4c627cdeea780ae3e2e",
-    ("optimal", "r10h03", "S", True): "a8a1d1a56650eafa532de3c9c334051a82f8b3affceff29fd3188b6df08d8b7e",
-    ("optimal", "r10h03", "W", False): "4cf2b5ac4fd8a11fca15ef50bb97125e321bf6f107a056ca31bf773caf2b6c10",
-    ("optimal", "r10h03", "W", True): "73c46726369253a4934abc7776ce63c52687054abde994a9851f3dda3a65789f",
     ("optimal", "r6h025", "S", False): "a7e537e0e4129fbb891cd16346e9f8cb83408bf4b4f7eca2d25a9ecb4802391d",
     ("optimal", "r6h025", "S", True): "3d00fe01f2f59ec25aeda2c7789b41747f1c06568aad6c43494cea9be26cddac",
     ("optimal", "r6h025", "W", False): "de0d69e0417fcee5d2f433892bb97e3c86cd13618c8d0910c4f9b2e5fb283d94",
@@ -198,7 +205,6 @@ PAYLOAD_SHA256 = {
 SCAN_POINTS = {"corner": ["--k", "0", "--l", "-1/2", "--p", "2"],
                "optimal": ["--k", "-11/150", "--l", "-7/12", "--p", "12/7"]}
 SCAN_SIZES = {"quick": ["--tier", "quick"],
-              "r10h03": ["--r-max", "10", "--resolution", "0.3"],
               "r6h025": ["--r-max", "6", "--resolution", "0.25"]}
 
 
@@ -427,6 +433,12 @@ class TestLifespanCommand:
      "--eps", "0"],
     ["kernel-scan", "--k", "0", "--l", "-1/2", "--p", "2", "--tier", "quick",
      "--eps", "-1"],
+    # the quadrature nodes live on the dyadic lattice of the step: a step
+    # that is not a power of two, and a ladder whose y range [1, (R/8)^2]
+    # ends off the lattice (R = 10 at the standard step 0.25)
+    ["kernel-scan", "--k", "0", "--l", "-1/2", "--p", "2", "--tier", "quick",
+     "--resolution", "0.3"],
+    ["kernel-scan", "--k", "0", "--l", "-1/2", "--p", "2", "--r-max", "10"],
 ])
 def test_bad_input_is_one_stderr_line_and_exit_2(capsys, argv):
     try:

@@ -85,7 +85,9 @@ class TestSchrodingerProductMass:
         assert val == pytest.approx(oracle, rel=0.05)
 
     def test_vanishing_domain(self):
-        assert K.kernel_mass(SEPARABLE, 0.0, 0.0, 1e-3, 0.25) < 1e-3
+        # a radius below the step puts no whole step in the xi2 patch
+        with pytest.raises(K.KernelError, match="xi2 patch"):
+            K.kernel_mass(SEPARABLE, 0.0, 0.0, 1e-3, 0.25)
 
     def test_off_origin_against_riemann_oracle(self):
         val = K.kernel_mass(CORNER_S, 4.0, 16.0, 25.0, 0.25)
@@ -299,14 +301,12 @@ class TestCompletedMass:
 class TestMassOverManySigmas:
     def test_floored_trapezoid_is_np_trapezoid(self):
         rng = np.random.default_rng(3)
-        for x in (np.linspace(1.0, 400.0, 1597), np.cumsum(rng.random(300))):
-            vals = rng.random(len(x)) * 10.0 ** rng.integers(-16, 3, len(x))
+        for n in (1597, 300):
+            vals = rng.random(n) * 10.0 ** rng.integers(-16, 3, n)
             want = vals.copy()
             want[want < K.TINY_FLOOR] = 0.0
             K._floor_tiny(vals)
             assert vals.tobytes() == want.tobytes()
-            got = K._trapezoid(vals[1:] + vals[:-1], np.diff(x), 1.0)
-            assert np.float64(got).tobytes() == np.trapezoid(want, x).tobytes()
 
     @pytest.mark.parametrize("h", [0.25, 0.5])
     def test_lattice_trapezoid_is_np_trapezoid(self, h):
@@ -317,7 +317,7 @@ class TestMassOverManySigmas:
         vals = rng.random(len(x)) * 10.0 ** rng.integers(-13, 3, len(x))
         pair = vals[1:] + vals[:-1]
         for lo, hi in ((0, 2000), (0, 499), (750, 1250), (3, 4), (7, 7)):
-            got = K._trapezoid(pair[lo:hi], None, h)
+            got = K._trapezoid(pair[lo:hi], h)
             want = np.trapezoid(vals[lo:hi + 1], x[lo:hi + 1])
             assert np.float64(got).tobytes() == want.tobytes(), (lo, hi)
 
@@ -390,7 +390,6 @@ class TestRadiusLadder:
     LADDERS = {
         "h0.25": (0.25, (2.0, 4.0, 8.0, 16.0)),
         "quick": (0.5, (6.0, 12.0, 24.0, 48.0)),
-        "h0.3": (0.3, (1.25, 2.5, 5.0, 10.0)),
         "below1": (0.25, (0.5, 0.75, 1.0, 3.0)),
     }
 
@@ -429,28 +428,25 @@ class TestRadiusLadder:
                 K.kernel_mass(spec, 3.0, [0.0, 9.0], radii, 0.25, table)
             assert True in fired and False in fired, name
 
-    @pytest.mark.parametrize("h,y_groups,u_groups", [
-        (0.25, [[0, 1, 2, 3]], [[0, 1, 2, 3]]),
-        (0.5, [[0, 1, 2, 3]], [[0, 1, 2, 3]]),
-        # off the lattice, nodes nest only where linspace rounds alike
-        (0.3, [[2, 3], [1], [0]], [[3], [2], [1], [0]]),
-    ])
-    def test_lattice_nodes_nest(self, h, y_groups, u_groups):
-        radii = (1.25, 2.5, 5.0, 10.0) if h == 0.3 else (4.0, 8.0, 16.0, 32.0)
-        ys = {i: np.linspace(1.0, r * r, int(round((r * r - 1.0) / h)) + 1)
-              for i, r in enumerate(radii)}
-        us = {i: np.linspace(-6.0 * r, 6.0 * r, int(round(12.0 * r / h)) + 1)
-              for i, r in enumerate(radii)}
-        for sets, centred, groups in ((ys, False, y_groups), (us, True, u_groups)):
-            nested = K._nest(sets)
-            assert [sorted(spans) for _, spans in nested] == groups
-            for top, spans in nested:
-                for i, (lo, hi) in spans.items():
-                    assert top[lo:hi + 1].tobytes() == sets[i].tobytes()
-                    if centred:
-                        assert lo == len(top) - 1 - hi
-                    else:
-                        assert lo == 0
+    @pytest.mark.parametrize("family", ["S", "W"])
+    def test_multiples_of_8_stay_on_the_lattice(self, family):
+        # every kernel_sup ladder R/8 .. R of an R that is a multiple of 8
+        # runs whole steps between lattice points at every power-of-two
+        # step up to 1, and each radius's own range is a span of the
+        # largest radius's nodes
+        for R in (8.0, 16.0, 48.0, 200.0, 400.0):
+            radii = tuple(f * R for f in K.LADDER)
+            for h in (1.0, 0.5, 0.25, 0.125):
+                for xi in sorted({x for x, _ in K._outer_points(family, R, R)}):
+                    kept = tuple(r for r in radii if xi <= r)
+                    for name, (first, n, spans) in K._node_sets(
+                            family, xi, kept, h).items():
+                        nodes = h * (first + np.arange(n))
+                        for i, (lo, hi) in spans.items():
+                            r = kept[i]
+                            u, w = 2.0 * abs(xi) * r, min(1.0, r)
+                            want = {"u": (-u, u), "patch": (-w, w), "y": (1.0, r * r)}
+                            assert (nodes[lo], nodes[hi]) == want[name], (R, h, xi, r)
 
     def test_wave_source_at_xi_zero_is_zero_at_every_radius(self):
         masses = K.kernel_mass(CORNER_W, 0.0, self.SIGMAS, (1.0, 2.0), 0.25,
@@ -467,46 +463,43 @@ class TestRadiusLadder:
 
 
 class TestLatticeRead:
-    """_ConvTable.at is bitwise table(base + nodes), and a slice of the
-    table exactly when every argument is a lattice point."""
+    """_ConvTable.at(base, first, n) is bitwise table(base + nodes) at the
+    lattice nodes h (first + i), and a slice of the table exactly when
+    base is a lattice point and the nodes stay below the last entry."""
 
-    def check(self, table, base, nodes):
-        first = table.lattice_start(nodes)
-        got = table.at(base, nodes, first)
+    def check(self, table, base, first, n):
+        got = table.at(base, first, n)
+        nodes = table.h * (first + np.arange(n))
         assert got.tobytes() == table(base + nodes).tobytes()
-        return first, np.shares_memory(got, table.values)
+        return np.shares_memory(got, table.values)
+
+    @staticmethod
+    def lattice(lo, hi, h):
+        """(first, n) of the lattice nodes from lo to hi."""
+        return int(lo / h), int(round((hi - lo) / h)) + 1
 
     @pytest.mark.parametrize("h", [0.25, 0.5])
     def test_on_the_lattice_is_a_slice(self, h):
         table = K._conv_table(1.2, 1.3, math.inf, h, -60.0, 450.0)
-        y = np.linspace(1.0, 400.0, int(round(399.0 / h)) + 1)
-        u = np.linspace(-50.0, 50.0, int(round(100.0 / h)) + 1)
+        y, u = self.lattice(1.0, 400.0, h), self.lattice(-50.0, 50.0, h)
         for base, nodes in ((-3.0, y), (1.5, y), (4.0, u), (-2.0, u)):
-            first, sliced = self.check(table, base, nodes)
-            assert first == int(nodes[0] / h) and sliced, (base, h)
+            assert self.check(table, base, *nodes), (base, h)
 
     @pytest.mark.parametrize("h", [0.25, 0.5])
     def test_off_lattice_base_interpolates(self, h):
         table = K._conv_table(1.2, 1.3, math.inf, h, -60.0, 450.0)
-        y = np.linspace(1.0, 400.0, int(round(399.0 / h)) + 1)
-        first, sliced = self.check(table, 0.1 - 4.0, y)
-        assert first is not None and not sliced
+        assert not self.check(table, 0.1 - 4.0, *self.lattice(1.0, 400.0, h))
 
-    def test_step_not_a_power_of_two_interpolates(self):
-        # even nodes that are exact multiples j * 0.3 interpolate: sums of
-        # such products are not exact, so the fractions need not be 0.0
-        table = K._conv_table(1.2, 1.3, math.inf, 0.3, -60.0, 450.0)
-        u = np.linspace(-30.0, 30.0, int(round(60.0 / 0.3)) + 1)
-        products = 0.3 * np.arange(-100, 101)
-        for base in (0.0, 0.3, 3.0):
-            assert self.check(table, base, u) == (None, False)
-            assert self.check(table, base, products) == (None, False)
-
-    def test_nodes_off_the_lattice_interpolate(self):
+    def test_nodes_off_the_lattice_interpolate(self, monkeypatch):
+        # the xi2 patch is read at xi2^2, off the lattice: its integrand
+        # interpolates and never asks for the slice
         table = K._conv_table(1.2, 1.3, math.inf, 0.25, -60.0, 450.0)
         xi2 = np.linspace(-1.0, 1.0, 9)
-        assert self.check(table, 2.0, xi2 * xi2) == (None, False)
-        assert self.check(table, 2.0, np.array([0.25, 0.75, 1.0])) == (None, False)
+        piece = K._Integrand(table, np.ones(9), {0: (0, 8)}, args=xi2 * xi2)
+        monkeypatch.setattr(K._ConvTable, "at", None)
+        [(i, got)] = piece.integrals(2.0)
+        want = np.trapezoid(table(2.0 + xi2 * xi2), xi2)
+        assert i == 0 and np.float64(got).tobytes() == want.tobytes()
 
     def test_last_table_entry_interpolates(self):
         # __call__ reads an index of len - 1 as the entry before it plus a
@@ -514,12 +507,12 @@ class TestLatticeRead:
         h = 0.25
         table = K._conv_table(1.2, 1.3, math.inf, h, -60.0, 450.0)
         n = 41
-        nodes = h * np.arange(n, dtype=float)
         last = table.a0 + h * (len(table.values) - 1)
-        assert self.check(table, last - nodes[-1], nodes) == (0, False)
-        assert self.check(table, last - nodes[-1] - h, nodes) == (0, True)
-        assert self.check(table, table.a0, nodes) == (0, True)
-        assert self.check(table, table.a0 - h, nodes) == (0, False)
+        top = h * (n - 1)  # the last node
+        assert not self.check(table, last - top, 0, n)
+        assert self.check(table, last - top - h, 0, n)
+        assert self.check(table, table.a0, 0, n)
+        assert not self.check(table, table.a0 - h, 0, n)
 
 
 class TestKernelSup:
@@ -589,12 +582,13 @@ class TestKernelSup:
                 os.environ[K.WORKERS_ENV] = old
         assert c == a
 
-    @pytest.mark.parametrize("R,h", [(48.0, 0.5), (10.0, 0.3)])
+    @pytest.mark.parametrize("R,h", [(48.0, 0.5), (6.0, 0.25)])
     @pytest.mark.parametrize("family,violate", [("S", False), ("W", False),
                                                 ("S", True), ("W", True)])
     def test_equals_a_loop_of_scalar_masses(self, family, violate, R, h):
-        # quick tier, and a radius and step off the h-lattice; violate
-        # breaks the family's l condition as kernel-scan --violate l does
+        # quick tier, and a ladder whose smallest radius 0.75 is below 1;
+        # violate breaks the family's l condition as kernel-scan --violate
+        # l does
         spec = self.mid_window_spec(family)
         if violate:
             spec = replace(spec, l=-0.75 if family == "S" else 0.0)
@@ -615,7 +609,7 @@ class TestKernelSup:
         assert diag.argmax == tuple(argmax)
         assert diag.completed == (tuple(completed) if completed else None)
 
-    @pytest.mark.parametrize("R,h", [(48.0, 0.5), (10.0, 0.3)])
+    @pytest.mark.parametrize("R,h", [(48.0, 0.5), (6.0, 0.25)])
     @pytest.mark.parametrize("family,violate", [("S", False), ("W", False),
                                                 ("S", True), ("W", True)])
     def test_lattice_read_equals_interpolation(self, family, violate, R, h,
@@ -624,8 +618,9 @@ class TestKernelSup:
         if violate:
             spec = replace(spec, l=-0.75 if family == "S" else 0.0)
         fast = K.kernel_sup(spec, R, resolution=h)
-        monkeypatch.setattr(K._ConvTable, "at",
-                            lambda self, base, nodes, first: self(base + nodes))
+        monkeypatch.setattr(
+            K._ConvTable, "at",
+            lambda self, base, first, n: self(base + self.h * (first + np.arange(n))))
         assert K.kernel_sup(spec, R, resolution=h) == fast
 
     @pytest.mark.parametrize("family", ["S", "W"])

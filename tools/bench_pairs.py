@@ -14,8 +14,10 @@ metric of the runs' last line it gives both sides' medians and quartiles,
 the change's relative difference of medians, how many pairs the change
 won (by the metric's direction in the change's BENCHMARK.json), and
 whether the gap between the medians exceeds the parent's quartile spread.
-It also gives the jobs attempted and failed on each side, and, at the
-top, each checkout's git SHA and `wc -l src/zaklab/*.py`.  A file that
+It also gives the jobs attempted and failed on each side, for a traced
+entry each side's `absent` list (the traced names its package no longer
+has, from the runs' first line), and, at the top, each checkout's git SHA
+and `wc -l src/zaklab/*.py`.  A file that
 already exists is extended, provided it was written for the same two
 commits.
 """
@@ -64,7 +66,8 @@ def directions(spec: dict) -> dict[str, str]:
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One zakbench run in `root`; returns its last output line."""
+    """One zakbench run in `root`; returns its last output line, with the
+    `absent` list of its first line's details added."""
     env = {key: val for key, val in os.environ.items() if key != "PYTHONPATH"}
     cmd = [sys.executable, "zakbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
@@ -73,7 +76,8 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -
     if proc.returncode != 0 or not lines:
         sys.exit(f"bench_pairs: {' '.join(cmd)} in {root} exited {proc.returncode}: "
                  f"{proc.stderr.strip()[-500:]}")
-    return json.loads(lines[-1])
+    absent = json.loads(lines[0])["details"]["absent"]
+    return {**json.loads(lines[-1]), "absent": absent}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -163,6 +167,11 @@ def main(argv=None) -> int:
         "first_in_pair": "parent on odd pairs, change on even pairs",
         **summarise(runs, directions(spec)),
     }
+    if args.trace:
+        report["runs"][key]["absent"] = {
+            side: sorted({name for run in runs[side] for name in run["absent"]})
+            for side in SIDES
+        }
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
     return 0
