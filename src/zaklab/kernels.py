@@ -553,6 +553,8 @@ def kernel_mass(
             raise KernelError("a radius ladder needs a table")
         table = _complete_table(spec, [(outer1, s) for s in sigmas], radii[0],
                                 resolution, sigma_radius=radii[0])
+    elif table.h != resolution:  # the nodes are read as indices of its lattice
+        raise KernelError(f"table step {table.h} is not the resolution {resolution}")
     # the table argument at xi2 = 0: sigma1 - xi1^2 (S), sigma + xi^2 (W)
     shift = -outer1 * outer1 if schrodinger else outer1 * outer1
     # a scale of 1.0 divides exactly

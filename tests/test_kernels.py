@@ -460,6 +460,8 @@ class TestRadiusLadder:
                 K.kernel_mass(CORNER_S, 1.0, 0.0, radii, 0.25, table)
         with pytest.raises(K.KernelError):  # a truncated table fits one radius
             K.kernel_mass(CORNER_S, 1.0, 0.0, (4.0, 8.0), 0.25)
+        with pytest.raises(K.KernelError, match="resolution"):  # another step
+            K.kernel_mass(CORNER_S, 1.0, 0.0, (4.0, 8.0), 0.5, table)
 
 
 class TestLatticeRead:
