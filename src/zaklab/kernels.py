@@ -456,7 +456,7 @@ def _prefactor(spec: KernelSpec, outer1: float, outer2: float) -> float:
 
 def _node_sets(family: str, xi: float, radii: tuple[float, ...],
                h: float) -> dict[str, tuple[int, int, dict]]:
-    """The xi2 node sets of spec's family at the outer xi, u in
+    """The xi2 node sets of the family at the outer xi, u in
     [-2|xi| r, 2|xi| r] (W), or the patch xi2 in [-min(1, r), min(1, r)]
     and y in [1, r^2] for r > 1 (S), each as (first, n, spans): its nodes
     are the lattice points h (first + i) for i < n, and spans[ladder index]
