@@ -184,7 +184,9 @@ def cmd_window(args):
 
 
 def cmd_optimize(args):
-    if args.l is not None and args.fixed_p is not None:
+    if (args.l is None) != (args.fixed_p is None):
+        raise ZaklabError("optimize takes --l and --fixed-p together, or neither")
+    if args.l is not None:
         with timer() as tm:
             mk = params.minimal_k(args.l, args.fixed_p)
         lines = [
@@ -342,7 +344,7 @@ def cmd_simulate(args):
     conf = {
         "preset": args.preset, "n": args.n, "box": args.box, "dt": args.dt,
         "t_final": args.t_final, "regularized": cfg.regularized,
-        "amplitude": args.amplitude, "tier": args.tier,
+        "amplitude": args.amplitude, "tier": args.tier, "sample_stride": cfg.sample_stride,
     }
     x = -cfg.box / 2 + np.arange(cfg.n) * (cfg.box / cfg.n)
     kappa = 2.0 * np.pi * 4 / cfg.box
@@ -406,7 +408,7 @@ def cmd_lipschitz(args):
         "k": args.k, "l": args.l, "p": args.p,
         "amplitude": args.amplitude, "deltas": args.deltas,
         "seeds": args.seeds, "n": args.n, "dt": args.dt, "box": args.box,
-        "t_final": args.t_final, "tier": args.tier,
+        "t_final": args.t_final, "tier": args.tier, "sample_stride": cfg.sample_stride,
     }
     with timer() as tm:
         rep = solver.lipschitz_probe(

@@ -100,13 +100,9 @@ class Constraint:
     def value(self, pt: ParamPoint) -> Fraction:
         return _affine(self.coeffs, (pt.k, pt.l, pt.inv_p, pt.b, pt.b1), self.const)
 
-    def holds(self, pt: ParamPoint) -> bool:
-        v = self.value(pt)
-        return v < 0 if self.strict else v <= 0
-
-    def slack(self, pt: ParamPoint) -> Fraction:
-        """Positive inside the feasible half-space, negative outside."""
-        return -self.value(pt)
+    def admits(self, value: Fraction) -> bool:
+        """Whether a value of the left-hand side satisfies REL 0."""
+        return value < 0 if self.strict else value <= 0
 
 
 def _affine(coeffs, values, const: Fraction) -> Fraction:
@@ -165,10 +161,6 @@ class AdmissibilityVerdict:
     violated: tuple[str, ...]
     margins: tuple[tuple[str, Fraction], ...]
 
-    def __post_init__(self):
-        if self.admissible != (len(self.violated) == 0):
-            raise ValueError("verdict inconsistent with violated list")
-
 
 def admissible(pt: ParamPoint) -> AdmissibilityVerdict:
     """Classify pt against the inequality system of its branch.
@@ -181,8 +173,9 @@ def admissible(pt: ParamPoint) -> AdmissibilityVerdict:
     branch, constraints = branch_constraints(pt.k)
     satisfied, violated, margins = [], [], []
     for con in constraints:
-        margins.append((con.label, con.slack(pt)))
-        (satisfied if con.holds(pt) else violated).append(con.label)
+        value = con.value(pt)
+        margins.append((con.label, -value))
+        (satisfied if con.admits(value) else violated).append(con.label)
     return AdmissibilityVerdict(
         admissible=not violated,
         branch=branch,
@@ -231,28 +224,32 @@ def _rest(con: Constraint, k: Fraction, l: Fraction, q: Fraction) -> Fraction:
     return _affine(con.coeffs[:3], (k, l, q), con.const)
 
 
-def _free_constraints_hold(constraints, k: Fraction, l: Fraction, q: Fraction) -> bool:
-    """Whether every constraint in neither b nor b1 holds at (k, l, 1/p)."""
-    for con in constraints:
-        _, _, _, cb, cb1 = con.coeffs
-        if not cb and not cb1:
-            rest = _rest(con, k, l, q)
-            if not (rest < 0 if con.strict else rest <= 0):
-                return False
-    return True
+def _table_pass(k: RationalLike, l: RationalLike, p: RationalLike):
+    """One pass over the branch table at (k, l, 1/p).  Returns 1/p, whether
+    every constraint in neither b nor b1 holds, and the lower and upper
+    bounds (value, inclusive) that the others put on b (index 0) and on b1
+    (index 1)."""
+    k, l, p = as_rational(k), as_rational(l), as_rational(p)
+    _check_p(p)
+    q = 1 / p
+    free_hold = True
+    lowers, uppers = ([], []), ([], [])
+    for con in branch_constraints(k)[1]:
+        rest = _rest(con, k, l, q)
+        cb, cb1 = con.coeffs[3:]
+        if not (cb or cb1):
+            free_hold = free_hold and con.admits(rest)
+            continue
+        var, cv = (0, cb) if cb else (1, cb1)
+        (uppers if cv > 0 else lowers)[var].append((-rest / cv, not con.strict))
+    return q, free_hold, lowers, uppers
 
 
-def _window(constraints, coeff, k, l, q, free_hold: bool, ceiling) -> FeasibilityWindow:
-    """The interval of one variable v in (1/p, 1] at fixed (k, l, 1/p), cut
-    by each constraint in which v's coefficient coeff(con) is nonzero.  It
-    is empty unless free_hold: the constraints in neither b nor b1 hold."""
-    lowers = [(q, False)]
-    uppers = [(Fraction(1), True)]
-    for con in constraints:
-        cv = coeff(con)
-        if cv:
-            bound = -_rest(con, k, l, q) / cv
-            (uppers if cv > 0 else lowers).append((bound, not con.strict))
+def _window(lowers, uppers, q: Fraction, free_hold: bool, ceiling) -> FeasibilityWindow:
+    """The interval (1/p, 1] cut by the bounds (value, inclusive) of one
+    variable.  It is empty unless free_hold."""
+    lowers = [(q, False), *lowers]
+    uppers = [(Fraction(1), True), *uppers]
     # the tightest bound is the end; at a tie an exclusive bound wins
     lo = max(v for v, _ in lowers)
     hi = min(v for v, _ in uppers)
@@ -267,19 +264,15 @@ def b_window(
 ) -> FeasibilityWindow:
     """Exact diagonal window of b = b1 values making (k, l, p, b, b) admissible.
 
-    Every branch constraint is affine in beta = b = b1, so the window is an
-    interval intersected with the type bounds (1/p, 1].  Constraints not
+    Every branch constraint is affine in beta = b = b1 and bounds b or b1,
+    so the window is (1/p, 1] cut by the bounds on both.  Constraints not
     involving beta that fail make the window empty outright, (1/p, 1/p).
     """
-    k, l, p = as_rational(k), as_rational(l), as_rational(p)
-    _check_p(p)
-    q = 1 / p
-    _, constraints = branch_constraints(k)
+    q, free_hold, lowers, uppers = _table_pass(k, l, p)
     ceiling = b1_feasibility_ceiling(l, p)
-    if not _free_constraints_hold(constraints, k, l, q):
+    if not free_hold:
         return FeasibilityWindow(q, q, False, False, False, ceiling)
-    return _window(constraints, lambda con: con.coeffs[3] + con.coeffs[4],
-                   k, l, q, True, ceiling)
+    return _window(lowers[0] + lowers[1], uppers[0] + uppers[1], q, True, ceiling)
 
 
 def b_window_2d(
@@ -287,15 +280,10 @@ def b_window_2d(
 ) -> tuple[FeasibilityWindow, FeasibilityWindow]:
     """Per-variable (b, b1) windows; no branch constraint couples b and b1,
     so the full 2D feasible set is exactly their product."""
-    k, l, p = as_rational(k), as_rational(l), as_rational(p)
-    _check_p(p)
-    q = 1 / p
-    _, constraints = branch_constraints(k)
-    free_hold = _free_constraints_hold(constraints, k, l, q)
+    q, free_hold, lowers, uppers = _table_pass(k, l, p)
     return (
-        _window(constraints, lambda con: con.coeffs[3], k, l, q, free_hold, None),
-        _window(constraints, lambda con: con.coeffs[4], k, l, q, free_hold,
-                b1_feasibility_ceiling(l, p)),
+        _window(lowers[0], uppers[0], q, free_hold, None),
+        _window(lowers[1], uppers[1], q, free_hold, b1_feasibility_ceiling(l, p)),
     )
 
 

@@ -3,8 +3,8 @@
 Every command emits a Report: the command name, the fully resolved
 configuration (no hidden defaults), a result payload, wall time, and the
 tool version.  Payload serialization is canonical (sorted keys, repr
-floats), so identical configurations produce byte-identical payloads at a
-fixed worker count; timing lives outside the payload for that reason.
+floats), so identical configurations produce byte-identical payloads at
+any worker count; timing lives outside the payload for that reason.
 """
 
 from __future__ import annotations

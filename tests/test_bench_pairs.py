@@ -49,6 +49,25 @@ def test_higher_is_better_and_unknown_metrics_get_no_verdict():
     assert out["metrics"]["wall_s"]["better"] is None
 
 
+SPREAD = [0.4, 1.0, 1.0, 1.6]  # quartiles 0.85 and 1.15 around the median 1.0
+
+
+@pytest.mark.parametrize("parent,change,better,bound,verdict", [
+    ([1.0] * 4, [1.3] * 4, "lower", 0.25, "worse"),  # +30 % on a 25 % bound
+    ([1.0] * 4, [1.2] * 4, "lower", 0.25, "within"),
+    ([1.0] * 4, [1.3, 1.3, 1.2, 1.2], "lower", 0.25, "within"),  # median +25 %
+    (SPREAD, [1.0] * 4, "lower", 0.25, "unresolved"),  # spread 30 % of the median
+    (SPREAD, [1.0] * 4, "lower", 0.35, "within"),
+    (SPREAD, [0.3] * 4, "lower", 0.25, "within"),  # every change run beats every parent run
+    (SPREAD, [0.3, 0.3, 0.3, 0.5], "lower", 0.25, "unresolved"),  # 0.5 loses to 0.4
+    (SPREAD, [1.4] * 4, "lower", 0.25, "worse"),  # worse wins over unresolved
+    ([10.0] * 4, [9.0] * 4, "higher", 0.05, "worse"),
+    ([10.0] * 4, [9.6] * 4, "higher", 0.05, "within"),
+])
+def test_bound_verdict(parent, change, better, bound, verdict):
+    assert bench_pairs.bound_verdict(parent, change, better, bound) == verdict
+
+
 def test_runs_last_as_long_as_the_changes_benchmark_fixes(tmp_path, monkeypatch):
     roots = {}
     for side in ("parent", "change"):
@@ -56,7 +75,8 @@ def test_runs_last_as_long_as_the_changes_benchmark_fixes(tmp_path, monkeypatch)
         (root / "zakbench").mkdir(parents=True)
         (root / "zakbench" / "run.py").write_text("")
         (root / "BENCHMARK.json").write_text(
-            '{"run_seconds": 7, "end_to_end": [{"name": "wall_s", "better": "lower"}]}'
+            '{"run_seconds": 7, "end_to_end": [{"name": "wall_s", "better": "lower", '
+            '"bound": 0.25}, {"name": "peak_rss_mb", "better": "lower"}]}'
         )
         roots[side] = root
     calls = []
@@ -74,6 +94,9 @@ def test_runs_last_as_long_as_the_changes_benchmark_fixes(tmp_path, monkeypatch)
     entry = bench_pairs.json.loads(out.read_text())["runs"]["flow/1"]
     assert entry["seconds"] == 7
     assert entry["metrics"]["wall_s"]["pairs_won"] == 2
+    # the bound comes from BENCHMARK.json; a metric without one gets no verdict
+    assert entry["metrics"]["wall_s"]["bound_verdict"] == "within"
+    assert "bound_verdict" not in entry["metrics"]["peak_rss_mb"]
     with pytest.raises(SystemExit):
         bench_pairs.main(["--parent", str(roots["parent"]), "--change",
                           str(roots["change"]), "--workload", "flow", "--seed", "1",

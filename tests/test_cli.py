@@ -292,10 +292,10 @@ COMMAND_SHA256 = {
         "8db80dc1c332a8311222c1564398dc5f654ac1d7246fff0d7a2ce029e16faa5e",
         "694a170773623cbabfdd1a7f5e027341b242af2138cd1cbfa8ff50193ea2121c"),
     "simulate": (0, "c56b875daf7b43eb2219a8672a356bed6a6580414ae84e1cf0dbd6a3300d44ec",
-        "d0e56bda208f0c8c472813dcc66db6f2f35827d1820c83aa5cd4cb0f8c617f38",
+        "915caf1e94aea2fa9e4256e4830df003efbc32a418bb9516fe536bc780325590",
         "5cc237ee5dd5300f6aa1bb1c2e8aa861bacda84d7a5e40843a48cc8a12606fa1"),
     "lipschitz": (0, "fc3e78509c9466761d813b789a18fc2c938f2a9505fd85faeb8eeaa4025d2702",
-        "74a6518fd8a0b23b871c413a29a53e7e562b54b1d2af49b5628561a2aa0a0ce4",
+        "5427017d7682c8672b0fc885fae1a69f5c2b26a1bcef2a109915a75a14cd6075",
         "dc28c99645e300e6d2a6288d4ede3d137ffb99b51f33e6804d1f012901294a77"),
     "lifespan": (0, "5cdf955a835cd19ff7e8110d1faac352e4a0b97dd8eed9384d4441ed6425421b",
         "03955f878c1252cf2eaf26742fdfe872aecf5102311c85ad34ff849f36f5aafe",
@@ -311,7 +311,9 @@ def test_command_payload_is_byte_identical(capsys, name):
     The payload digests were pinned before the b-window solvers were folded
     into one; the report and text digests before the commands were made to
     return their reports to main(), ahead of any source edit for it; the
-    kernel-scan-eps digests before --eps was required to be positive.  All
+    kernel-scan-eps digests before --eps was required to be positive; the
+    simulate and lipschitz report digests when their configs gained
+    sample_stride, which left their payload and text digests as they were.  All
     were taken with numpy 2.4.6 and scipy 1.17.1 (the solver payloads hold
     floats, whose last bits a different build can move)."""
     code, doc = run_json(capsys, *COMMAND_ARGV[name])
@@ -362,6 +364,19 @@ class TestSimulateCommand:
         assert len(rows) >= 2
         assert {"t", "mass", "sup_u", "truncated"} <= set(rows[0])
         assert rows[0]["t"] == 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--tier", "quick", "--t-final", "0.1"],
+    ["lipschitz", "--k", "0", "--l", "-1/2", "--p", "2", "--seeds", "1",
+     "--tier", "quick", "--n", "64", "--t-final", "0.05"],
+])
+def test_sample_stride_is_in_the_config(capsys, argv):
+    # the stride sets which steps are sampled, so the report must record it
+    configs = [run_json(capsys, *argv, "--sample-stride", stride)[1]["config"]
+               for stride in ("5", "25")]
+    assert [c["sample_stride"] for c in configs] == [5, 25]
+    assert {**configs[0], "sample_stride": 25} == configs[1]
 
 
 class TestLipschitzCommand:
@@ -424,6 +439,9 @@ class TestLifespanCommand:
      "--b1", "11/20", "--tier", "quick"],
     ["window", "--k", "0", "--l", "-1/2", "--p", "2", "--tier", "quick"],
     ["optimize", "--tier", "quick"],
+    # optimize takes the line (l, p) whole or not at all
+    ["optimize", "--fixed-p", "2"],
+    ["optimize", "--l", "-3/4"],
     ["scaling", "--k", "0", "--l", "-1/2", "--p", "2", "--tier", "quick"],
     ["lifespan", "--tier", "quick"],
     # the lifespan probe observes every step, so it takes no stride
@@ -494,6 +512,13 @@ class TestConfigFile:
         code, doc = run_json(capsys, "--config", str(conf), "optimize",
                              "--l", "-7/12", "--fixed-p", "12/7")
         assert doc["payload"]["k_inf"] == "-1/12"
+
+    def test_config_with_half_an_optimize_line_is_a_usage_error(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("l = -3/4\n")
+        assert cli.main(["--config", str(conf), "optimize"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
 
     def test_joined_config_path(self, capsys, tmp_path):
         conf = tmp_path / "run.conf"

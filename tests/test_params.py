@@ -84,6 +84,25 @@ class TestAdmissible:
         pt = point(F(-1, 12) + F(1, 100), F(-7, 12), F(12, 7), F(59, 80), F(59, 80))
         assert P.admissible(pt) == P.admissible(pt)
 
+    def test_satisfied_exactly_when_the_margin_allows(self):
+        # positive margin, or zero margin on a nonstrict constraint; l = -1/p
+        # puts l >= -1/p on its boundary, and the boundary optimal point
+        # k-l < 2(1-b1) and 2k > 1/p-b1
+        points = seeded_points(15, 300)
+        points += [replace(pt, l=-pt.inv_p) for pt in points[:100]]
+        points.append(point(F(-1, 12), F(-7, 12), F(12, 7), F(3, 4), F(3, 4)))
+        zeros = set()
+        for pt in points:
+            v = P.admissible(pt)
+            _, table = P.branch_constraints(pt.k)
+            strict = {con.label: con.strict for con in table}
+            for label, margin in v.margins:
+                ok = margin > 0 or (margin == 0 and not strict[label])
+                assert (label in v.satisfied) == ok and (label in v.violated) != ok
+                if margin == 0:
+                    zeros.add(strict[label])
+        assert zeros == {True, False}
+
     def test_margins_cover_every_branch_constraint(self):
         pt = point(0, F(-1, 2), 2, F(5, 8), F(5, 8))
         v = P.admissible(pt)
@@ -229,10 +248,41 @@ class TestBWindow:
                 assert ok == (wb.contains(b) and wb1.contains(b1))
 
     def test_no_constraint_couples_b_and_b1(self):
-        # b_window_2d solves for b and b1 apart, which rests on this
+        # the table pass reads each constraint as a check free of b and b1,
+        # a bound on b or a bound on b1, which rests on this
         for con in P.CONSTRAINTS_K_NONNEG + P.CONSTRAINTS_K_NEG:
             _, _, _, cb, cb1 = con.coeffs
             assert not (cb and cb1), con.label
+
+    def test_diagonal_window_is_the_intersection_of_the_2d_windows(self):
+        rng = random.Random(16)
+        grid = [(F(1, 2), F(1, 2), F(2))]  # window-tie-k0
+        for _ in range(300):
+            # small denominators, so that bounds tie
+            den = rng.choice((4, 6, 12))
+            grid.append((F(rng.randint(-den // 2, den), den), F(rng.randint(-den, den), den),
+                         1 / F(rng.randint(den // 2, den - 1), den)))
+        for _ in range(300):
+            # the narrow k < 0 part of the region, near the optimum
+            q = F(rng.randint(24, 40), 48)
+            grid.append((F(rng.randint(-6, 0), 48), -q + F(rng.randint(0, 12), 48), 1 / q))
+        tested = 0
+        for k, l, p in grid:
+            q = 1 / p
+            _, table = P.branch_constraints(k)
+            if not all(con.admits(P._rest(con, k, l, q))
+                       for con in table if not (con.coeffs[3] or con.coeffs[4])):
+                continue
+            tested += 1
+            windows = P.b_window_2d(k, l, p)
+            lo = max(w.lower for w in windows)
+            hi = min(w.upper for w in windows)
+            lo_incl = all(w.lower_inclusive for w in windows if w.lower == lo)
+            hi_incl = all(w.upper_inclusive for w in windows if w.upper == hi)
+            nonempty = lo < hi or (lo == hi and lo_incl and hi_incl)
+            assert P.b_window(k, l, p) == P.FeasibilityWindow(
+                lo, hi, lo_incl, hi_incl, nonempty, windows[1].ceiling_b1), (k, l, p)
+        assert tested > 300
 
     def test_p_out_of_range(self):
         with pytest.raises(P.ParamDomainError):

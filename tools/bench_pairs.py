@@ -14,6 +14,11 @@ metric of the runs' last line it gives both sides' medians and quartiles,
 the change's relative difference of medians, how many pairs the change
 won (by the metric's direction in the change's BENCHMARK.json), and
 whether the gap between the medians exceeds the parent's quartile spread.
+Each end-to-end metric with a bound there also gets a `bound_verdict`:
+"worse" when the change's median is worse than the parent's by more than
+the bound (relative to the parent's median), "unresolved" when the
+parent's quartile spread relative to its median exceeds the bound unless
+every change run beats every parent run, and "within" otherwise.
 It also gives the jobs attempted and failed on each side, for a traced
 entry each side's `absent` list (the traced names its package no longer
 has, from the runs' first line), and, at the top, each checkout's git SHA
@@ -65,6 +70,26 @@ def directions(spec: dict) -> dict[str, str]:
     }
 
 
+def bounds(spec: dict) -> dict[str, float]:
+    """End-to-end metric name -> its relative bound, from a BENCHMARK.json."""
+    return {metric["name"]: metric["bound"]
+            for metric in spec.get("end_to_end", []) if "bound" in metric}
+
+
+def bound_verdict(parent: list[float], change: list[float], better: str,
+                  bound: float) -> str:
+    """"worse", "unresolved" or "within", by the rule in the module docstring."""
+    sign = 1.0 if better == "lower" else -1.0
+    before, after = quartiles(parent), quartiles(change)
+    scale = bound * abs(before["median"])
+    if sign * (after["median"] - before["median"]) > scale:
+        return "worse"
+    beats_all = all(sign * (p - c) > 0 for p in parent for c in change)
+    if before["q3"] - before["q1"] > scale and not beats_all:
+        return "unresolved"
+    return "within"
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One zakbench run in `root`; returns its last output line, with the
     `absent` list of its first line's details added."""
@@ -86,8 +111,10 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarise(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
-    """Per-metric medians, quartiles and pairs won, plus job counts."""
+def summarise(runs: dict[str, list[dict]], better: dict[str, str],
+              bound: dict[str, float] | None = None) -> dict:
+    """Per-metric medians, quartiles, pairs won and bound verdicts, plus job
+    counts."""
     names = sorted(set.intersection(*(
         set(run["metrics"]) for side in SIDES for run in runs[side]
     )))
@@ -111,6 +138,9 @@ def summarise(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
             )
             spread = stats["parent"]["q3"] - stats["parent"]["q1"]
             entry["gap_exceeds_parent_iqr"] = sign * (before - after) > spread
+            if bound and name in bound:
+                entry["bound_verdict"] = bound_verdict(
+                    values["parent"], values["change"], direction, bound[name])
         metrics[name] = entry
     return {
         "metrics": metrics,
@@ -165,7 +195,7 @@ def main(argv=None) -> int:
         "trace": args.trace,
         "pairs": args.pairs,
         "first_in_pair": "parent on odd pairs, change on even pairs",
-        **summarise(runs, directions(spec)),
+        **summarise(runs, directions(spec), bounds(spec)),
     }
     if args.trace:
         report["runs"][key]["absent"] = {
