@@ -264,9 +264,10 @@ def b_window(
 ) -> FeasibilityWindow:
     """Exact diagonal window of b = b1 values making (k, l, p, b, b) admissible.
 
-    Every branch constraint is affine in beta = b = b1 and bounds b or b1,
-    so the window is (1/p, 1] cut by the bounds on both.  Constraints not
-    involving beta that fail make the window empty outright, (1/p, 1/p).
+    Every branch constraint is affine in beta = b = b1, and each one in
+    beta bounds b or b1 alone, so the window is (1/p, 1] cut by the bounds
+    on both.  Constraints not involving beta that fail make the window
+    empty outright, (1/p, 1/p).
     """
     q, free_hold, lowers, uppers = _table_pass(k, l, p)
     ceiling = b1_feasibility_ceiling(l, p)
