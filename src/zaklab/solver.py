@@ -5,8 +5,8 @@ envelopes n_plus, n_minus with n = (n_plus + n_minus)/2 real.  Linear
 parts are applied exactly in Fourier space through an integrating-factor
 (Lawson) RK4 step; the quadratic products are formed in physical space
 under the 2/3 dealiasing rule.  One core steps a batch of trajectories
-at once: evolve and the lifespan probe run a batch of one, the Lipschitz
-probe its whole ensemble.  The regularized reduction replaces the
+at once: evolve a batch of one, the Lipschitz probe its whole ensemble,
+the lifespan probe its dilations.  The regularized reduction replaces the
 half-wave symbol |xi| by sqrt(xi^2 + 1), which removes the zero-frequency
 singularity of the inverse half-wave operator at the cost of a bounded
 extra linear coupling term.
@@ -14,6 +14,7 @@ extra linear coupling term.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -89,35 +90,53 @@ def to_first_order(
 
 
 class _Lawson:
-    """The fixed per-config operators of the Lawson RK4 step, applied to a
-    spectral batch y of shape (3, batch, n) whose blocks are u, n_plus and
-    n_minus, so every field is one contiguous (batch, n) block.  The linear
-    factors are (3, 1, n) stacks broadcast over the batch; every operation
-    acts on each member alone, with the operand order of the scalar scheme,
-    so a member's result does not depend on the batch.  The core owns all
-    its working memory: five stage buffers and the scratch of nonlinear,
-    rebuilt together when the batch shape changes."""
+    """The operators of the Lawson RK4 step, applied to a spectral batch y
+    of shape (3, batch, n) whose blocks are u, n_plus and n_minus, so every
+    field is one contiguous (batch, n) block.  From one config they serve
+    the whole batch as (3, 1, n) factors, (1, n) symbols and mask, and
+    scalar dt/2, dt/6, so at batch 1 no product broadcasts; from one config
+    per member (its own box and dt) they are (3, batch, n), (batch, n) and
+    (1, batch, 1), and retain() drops the rows of members that leave.
+    Every operation acts on each member alone, with the operand order of
+    the scalar scheme, so a member's result does not depend on the batch.
+    The core owns all its working memory: five stage buffers and the
+    scratch of nonlinear, rebuilt together when the batch shape changes.
+    Its transforms are numpy's pocketfft gufuncs with the factors np.fft
+    passes: np.fft.fft / np.fft.ifft bit for bit, minus their wrapper."""
 
-    def __init__(self, cfg: SolverConfig):
-        n, dt = cfg.n, cfg.dt
-        xi = wavenumbers(n, cfg.box)
-        omega = _wave_symbol(xi, cfg.regularized)
-        lin = np.stack([-1j * xi * xi, -1j * omega, +1j * omega])[:, None, :]
-        self.dt = dt
-        self.e = np.exp(dt * lin)
-        self.h = np.exp(0.5 * dt * lin)
-        self.dt_h = dt * self.h
-        self.two_h = 2.0 * self.h
+    def __init__(self, *cfgs: SolverConfig):
+        from numpy.fft import _pocketfft_umath as pocketfft  # loads numpy.fft, as np.fft does
+        n, regularized = cfgs[0].n, cfgs[0].regularized
+        inv_n = np.reciprocal(n, dtype=np.float64)
+        self.fft = lambda a, out: pocketfft.fft(a, 1, out=out)
+        self.ifft = lambda a, out: pocketfft.ifft(a, inv_n, out=out)
         # complex, so the 2/3 dealiasing products need no cast
-        self.mask = (np.abs(mode_indices(n)) <= n // 3).astype(np.complex128)
-        if cfg.regularized:
-            self.src_sym = 1j * xi * xi / omega  # i A Op^{-1/2}
-            self.couple = 0.5j / omega           # (i/2) Op^{-1/2}
-        else:
-            self.src_sym = 1j * omega
-            self.couple = None
+        self.mask = (np.abs(mode_indices(n)) <= n // 3).astype(np.complex128)[None]
+        rows = []
+        for cfg in cfgs:
+            xi = wavenumbers(n, cfg.box)
+            omega = _wave_symbol(xi, regularized)
+            lin = np.stack([-1j * xi * xi, -1j * omega, +1j * omega])[:, None, :]
+            h = np.exp(0.5 * cfg.dt * lin)
+            # i A Op^{-1/2} and the coupling (i/2) Op^{-1/2}, or i|xi| alone
+            syms = (1j * xi * xi / omega, 0.5j / omega) if regularized else (1j * omega,)
+            rows.append((np.exp(cfg.dt * lin), h, cfg.dt * h, 2.0 * h,
+                         *(sym[None] for sym in syms)))
+        self.e, self.h, self.dt_h, self.two_h, self.src_sym, *couple = (
+            np.concatenate(parts, axis=-2) for parts in zip(*rows))
+        self.couple = couple[0] if couple else None
         self.neg_src = -self.src_sym
+        dts = np.array([cfg.dt for cfg in cfgs]).reshape((1, -1, 1) if len(cfgs) > 1 else ())
+        self.half, self.sixth = (f.astype(np.complex128) for f in (0.5 * dts, dts / 6.0))
         self.bufs = ()
+
+    def retain(self, kept):
+        """Keep the per-member operator rows of the members in the mask kept."""
+        if self.e.shape[1] > 1:
+            for name in ("e", "h", "dt_h", "two_h", "src_sym", "neg_src", "couple",
+                         "half", "sixth"):
+                if (op := getattr(self, name)) is not None:
+                    setattr(self, name, op.compress(kept, axis=-2))
 
     def nonlinear(self, y, out):
         """Write N(y) into out, with one inverse and one forward transform
@@ -126,12 +145,12 @@ class _Lawson:
         np.add(y[1], y[2], out=nsum_hat)
         np.multiply(mask, y[0], out=spec[0])
         np.multiply(mask, nsum_hat, out=spec[1])
-        u, nsum = np.fft.ifft(spec, out=phys)
+        u, nsum = self.ifft(spec, phys)
         np.multiply(-0.5j, nsum, out=spec[0])   # -0.5j nsum u
         np.multiply(spec[0], u, out=spec[0])
         np.conjugate(u, out=spec[1])            # u conj(u)
         np.multiply(u, spec[1], out=spec[1])
-        nu_hat, sq_hat = np.fft.fft(spec, out=phys)
+        nu_hat, sq_hat = self.fft(spec, phys)
         np.multiply(nu_hat, mask, out=out[0])
         np.multiply(sq_hat, mask, out=sq_hat)
         np.multiply(self.neg_src, sq_hat, out=out[1])
@@ -149,7 +168,7 @@ class _Lawson:
             self.spec, self.phys = (np.empty_like(y[:2]) for _ in range(2))
             self.nsum_hat = np.empty_like(y[0])
         k1, k2, k3, k4, s = self.bufs
-        half, sixth = 0.5 * self.dt, self.dt / 6.0
+        half, sixth = self.half, self.sixth
         self.nonlinear(y, k1)
         np.multiply(half, k1, out=s)            # s = h (y + dt/2 k1)
         s += y
@@ -185,37 +204,39 @@ def _spectral(data, cfg: SolverConfig) -> np.ndarray:
     return np.fft.fft(np.ascontiguousarray(fields.transpose(1, 0, 2)))
 
 
-def _integrate(y: np.ndarray, cfg: SolverConfig, observe) -> list[float | None]:
-    """Advance the field-major spectral batch y over cfg.steps Lawson RK4
-    steps.
-
-    observe(i, alive, y) sees step i, the indices of the members still
-    finite and their states as a (batch, 3, n) view, at step 0, every
-    sample_stride steps and the last step; a true return ends the run.  A
-    member that turns nonfinite leaves the batch at that step.  Returns
-    each member's blow-up time (the time of detection), None where it
-    stayed finite.
-    """
-    lawson = _Lawson(cfg)
+def _integrate(y: np.ndarray, lawson: _Lawson, observe, steps: int | None,
+               stride: int = 1) -> list[int | None]:
+    """Advance the field-major spectral batch y by Lawson RK4 steps, up to
+    step `steps` (None: while any member is left).  observe(i, alive, y)
+    sees step i, the indices of the members still in the batch and their
+    states as a (batch, 3, n) view, at step 0, every stride steps and step
+    `steps`; it may return a boolean mask over alive of members that leave.
+    A member that turns nonfinite leaves at that step; a leaving member
+    takes its operator rows along.  Returns each member's blow-up step (that
+    of detection), None if it stayed finite."""
     alive = np.arange(y.shape[1])
-    blowup: list[float | None] = [None] * len(alive)
-    if observe(0, alive, y.transpose(1, 0, 2)):
-        return blowup
-    for i in range(1, cfg.steps + 1):
-        lawson.step(y)
-        finite = np.isfinite(y).all(axis=(0, 2))
-        if not finite.all():
-            for j in alive[~finite]:
-                blowup[j] = i * cfg.dt
-            # compress keeps the batch C-contiguous, which y[:, finite] does not
-            alive, y = alive[finite], y.compress(finite, axis=1)
-            if not len(alive):
-                break
-        if (i % cfg.sample_stride == 0 or i == cfg.steps) and observe(
-            i, alive, y.transpose(1, 0, 2)
-        ):
-            break
-    return blowup
+    blowup: list[int | None] = [None] * len(alive)
+
+    def retain(kept):
+        nonlocal alive, y
+        # compress keeps the batch C-contiguous, which y[:, kept] does not
+        alive, y = alive[kept], y.compress(kept, axis=1)
+        lawson.retain(kept)
+
+    for i in itertools.count():
+        if i:
+            lawson.step(y)
+            finite = np.isfinite(y).all(axis=(0, 2))
+            if not finite.all():
+                for j in alive[~finite]:
+                    blowup[j] = i
+                retain(finite)
+        if len(alive) and (i % stride == 0 or i == steps):
+            leaving = observe(i, alive, y.transpose(1, 0, 2))
+            if leaving is not None and leaving.any():
+                retain(~leaving)
+        if not len(alive) or i == steps:
+            return blowup
 
 
 @dataclass
@@ -251,12 +272,13 @@ def evolve(
         if i == cfg.steps:
             final.append(u)
 
-    (blowup,) = _integrate(_spectral([(u0, n0, n1)], cfg), cfg, record)
+    (blowup,) = _integrate(_spectral([(u0, n0, n1)], cfg), _Lawson(cfg), record,
+                           cfg.steps, cfg.sample_stride)
     return EvolutionTrace(
         times=np.asarray(times),
         series={k: np.asarray(v) for k, v in rows.items()},
         truncated=blowup is not None,
-        blowup_time=blowup,
+        blowup_time=None if blowup is None else blowup * cfg.dt,
         final_u=final[0] if final else None,
     )
 
@@ -337,7 +359,8 @@ def lipschitz_probe(
                     diff = hat_norm(from_samples(u[j] - u[base], cfg.box), k, p)
                     sups[j] = max(sups[j], diff / denom)
 
-    blowup = _integrate(_spectral(data, cfg), cfg, compare)
+    blowup = [None if i is None else i * cfg.dt for i in _integrate(
+        _spectral(data, cfg), _Lawson(cfg), compare, cfg.steps, cfg.sample_stride)]
     ratios: dict[int, dict[float, float | None]] = {}
     truncs = []
     stability: dict[int, float] = {}
@@ -384,56 +407,62 @@ def lifespan_probe(
     Data are dilated with amplitude exponents (3/2, 2, 4) for (u0, n0, n1)
     onto the box L/mu; time step and budget shrink by mu^-2 so each run
     resolves the sped-up dynamics equally (a run after the first gets
-    LIFESPAN_BUDGET_FACTOR times the first departure time).  Reports the log-log slope of
-    departure time against mu next to the reference slope -2.
+    LIFESPAN_BUDGET_FACTOR times the first departure time).  Reports the
+    log-log slope of departure time against mu next to the reference slope
+    -2, or the first run alone if it ends without departing.
+
+    The runs are one batch, each member with its own operators; a member
+    leaves when it departs, reaches its budget or turns nonfinite.  Later
+    budgets are set when the first run ends, at its step i1, and none has
+    passed by then: the first time exceeds (i1 - 1) dt1 (a crossing after
+    step i1 - 1, or a blow-up at i1 dt1), so a later budget is at least
+    4 (i1 - 1) >= i1 steps for i1 >= 2, and at least 1 step for i1 = 1.
     """
+    if not mus:
+        return LifespanReport({}, None, -2.0, inconclusive=True)
     mus = tuple(sorted(mus))
-    times: dict[float, float | None] = {}
-    base_T = None
-    for mu in mus:
-        du = dilate(u0, mu, 1.5)
-        dn0 = dilate(n0, mu, 2.0)
-        dn1 = dilate(n1, mu, 4.0)
-        scale = mu * mu
-        if base_T is None:
-            budget = cfg.t_final
-            dt = cfg.dt
-        else:
-            budget = LIFESPAN_BUDGET_FACTOR * base_T / scale
-            dt = cfg.dt / scale
-            budget = math.ceil(budget / dt) * dt
-        run_cfg = replace(
-            cfg, box=u0.box[0] / mu, dt=dt, t_final=budget, sample_stride=1
-        )
-        data = (du.to_samples(), dn0.to_samples().real, dn1.to_samples().real)
-        ts, qs = [], []
+    data = [(dilate(u0, mu, 1.5).to_samples(), dilate(n0, mu, 2.0).to_samples().real,
+             dilate(n1, mu, 4.0).to_samples().real) for mu in mus]  # rejects a bad mu
+    cfgs = [replace(cfg, box=u0.box[0] / mu, dt=cfg.dt / (mu * mu) if j else cfg.dt,
+                    t_final=0.0 if j else cfg.t_final) for j, mu in enumerate(mus)]
+    y = np.concatenate([_spectral([d], c) for d, c in zip(data, cfgs)], axis=1)
+    lawson = _Lawson(*cfgs)
+    budgets = [cfgs[0].steps] + [None] * (len(mus) - 1)  # the later ones set in watch
+    qs, t_dep = [[] for _ in mus], [None] * len(mus)
 
-        def watch(i, alive, y):
-            ts.append(i * run_cfg.dt)
-            qs.append(float(np.max(np.abs(np.fft.ifft(y[0, 0])))))
-            return i > 0 and qs[-1] >= 2.0 * qs[0]
+    def watch(i, alive, y):
+        sups = np.max(np.abs(lawson.ifft(y[:, 0], np.empty_like(y[:, 0]))), axis=1)
+        leaving = []
+        for j, q in zip(alive.tolist(), sups.tolist()):
+            qs[j].append(q)
+            target = 2.0 * qs[j][0]
+            if i > 0 and q >= target:  # interpolate the crossing between the last two steps
+                prev, t0, t1 = qs[j][-2], (i - 1) * cfgs[j].dt, i * cfgs[j].dt
+                t_dep[j] = t1 if q == prev else t0 + (target - prev) / (q - prev) * (t1 - t0)
+            leaving.append(t_dep[j] is not None or i == budgets[j])
+        if budgets[-1] is None and (alive[0] or leaving[0]):  # the first run ends here
+            base_T = i * cfgs[0].dt if alive[0] else t_dep[0]  # a blow-up, or not
+            if base_T is None:
+                return np.ones(len(alive), dtype=bool)
+            for j in range(1, len(mus)):
+                budget = LIFESPAN_BUDGET_FACTOR * base_T / (mus[j] * mus[j])
+                budget = math.ceil(budget / cfgs[j].dt) * cfgs[j].dt
+                budgets[j] = replace(cfgs[j], t_final=budget).steps
+            leaving = [gone or i == budgets[j] for gone, j in zip(leaving, alive)]
+        return np.array(leaving)
 
-        (t_dep,) = _integrate(_spectral([data], run_cfg), run_cfg, watch)
-        if t_dep is None and len(qs) > 1 and qs[-1] >= 2.0 * qs[0]:
-            # linear interpolation of the crossing between the last two steps
-            target, q, prev_q = 2.0 * qs[0], qs[-1], qs[-2]
-            t_dep = ts[-1] if q == prev_q else (
-                ts[-2] + (target - prev_q) / (q - prev_q) * (ts[-1] - ts[-2])
-            )
-        times[mu] = t_dep
-        if base_T is None:
-            if t_dep is None:
-                return LifespanReport(times, None, -2.0, inconclusive=True)
-            base_T = t_dep
+    blowup = _integrate(y, lawson, watch, None)
+    t_dep = [t if i is None else i * c.dt for t, i, c in zip(t_dep, blowup, cfgs)]
+    if t_dep[0] is None:
+        return LifespanReport({mus[0]: None}, None, -2.0, inconclusive=True)
+    times = dict(zip(mus, t_dep))
     observed = [(mu, t) for mu, t in times.items() if t is not None and mu > 0]
     if len(observed) < 2:
         return LifespanReport(times, None, -2.0, inconclusive=True)
     xs = np.log([mu for mu, _ in observed])
     ys = np.log([t for _, t in observed])
     slope = float(np.polyfit(xs, ys, 1)[0])
-    return LifespanReport(
-        times, slope, -2.0, inconclusive=len(observed) < len(mus)
-    )
+    return LifespanReport(times, slope, -2.0, inconclusive=len(observed) < len(mus))
 
 
 def gaussian_focusing_data(

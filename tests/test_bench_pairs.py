@@ -86,6 +86,7 @@ def test_runs_last_as_long_as_the_changes_benchmark_fixes(tmp_path, monkeypatch)
         return run(1.0 if root.name == "parent" else 0.5, 40.0)
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    monkeypatch.setattr(bench_pairs, "tier1", lambda root: {})
     out = tmp_path / "bench.json"
     assert bench_pairs.main(["--parent", str(roots["parent"]), "--change",
                              str(roots["change"]), "--workload", "flow", "--seed", "1",
@@ -110,7 +111,8 @@ print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
 """
 
 
-def test_traced_entry_records_each_sides_absent_names(tmp_path):
+def test_traced_entry_records_each_sides_absent_names(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "tier1", lambda root: {})
     roots = {}
     for side, absent in (("parent", []), ("change", ["kernels.kernel_mass"])):
         root = tmp_path / side
@@ -128,3 +130,74 @@ def test_traced_entry_records_each_sides_absent_names(tmp_path):
         "parent": [], "change": ["kernels.kernel_mass"]}
     assert runs["certify/1/trace"]["attempted"] == {"parent": 6, "change": 6}
     assert "absent" not in runs["certify/1"]
+
+
+HEAD = '{"correct": true, "attempted": 1, '  # the start of a result line
+
+
+def stub_checkouts(tmp_path, run_py, tests=None):
+    roots = {}
+    for side in ("parent", "change"):
+        root = tmp_path / side
+        (root / "zakbench").mkdir(parents=True)
+        (root / "zakbench" / "run.py").write_text(run_py)
+        (root / "BENCHMARK.json").write_text('{"run_seconds": 1}')
+        if tests:
+            (root / "tests").mkdir()
+            (root / "tests" / "test_stub.py").write_text(tests)
+        roots[side] = root
+    return roots
+
+
+@pytest.mark.parametrize("last_lines", [
+    # lenient json.loads reads NaN as a float
+    pytest.param([HEAD + '"failed": 0, "metrics": {"wall_s": {"value": NaN}}}'], id="nan"),
+    pytest.param([HEAD + '"failed": 0, "metrics": {"wall_s": {"value": 1.0}}}',
+                  '{"note": "done"}'], id="stray-line"),
+])
+def test_a_last_line_that_is_no_strict_result_ends_the_run(tmp_path, capsys, last_lines):
+    run_py = "\n".join(['print(\'{"details": {"absent": []}}\')',
+                        *(f"print({line!r})" for line in last_lines)]) + "\n"
+    roots = stub_checkouts(tmp_path, run_py)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.run_once(roots["change"], "flow", 1, 1, 0)
+    message = str(exc.value.code)
+    assert "zakbench/run.py --workload flow" in message
+    assert str(roots["change"]) in message
+    assert last_lines[-1][:20] in message
+
+
+@pytest.mark.parametrize("line,ok", [
+    pytest.param(HEAD + '"failed": 0, "metrics": {"x": {"value": 2}}}', True, id="result"),
+    pytest.param(HEAD + '"failed": 0, "metrics": {"x": {"value": Infinity}}}', False,
+                 id="infinite"),
+    pytest.param(HEAD + '"metrics": {}}', False, id="no-failed"),
+    pytest.param(HEAD + '"failed": 0, "metrics": {"x": {}}}', False, id="no-value"),
+    pytest.param(HEAD + '"failed": 0, "metrics": {"x": {"value": "1"}}}', False, id="string"),
+    pytest.param('[1, 2]', False, id="list"),
+])
+def test_result_line(line, ok):
+    if ok:
+        assert bench_pairs.result_line(line)["attempted"] == 1
+    else:
+        with pytest.raises(ValueError):
+            bench_pairs.result_line(line)
+
+
+def test_each_checkouts_tier1_result_is_recorded_once_per_file(tmp_path, monkeypatch):
+    tests = "def test_a():\n    pass\n\ndef test_b():\n    pass\n\ndef test_c():\n    assert False\n"
+    roots = stub_checkouts(tmp_path, STUB_RUN % [], tests)
+    (roots["change"] / "tests" / "test_stub.py").write_text("def test_a():\n    pass\n")
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(roots["parent"]), "--change", str(roots["change"]),
+            "--workload", "flow", "--seed", "1", "--pairs", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    report = bench_pairs.json.loads(out.read_text())
+    parent, change = report["parent"]["tier1"], report["change"]["tier1"]
+    assert (parent["passed"], parent["failed"]) == (2, 1)
+    assert (change["passed"], change["failed"]) == (1, 0)
+    assert parent["seconds"] > 0 and "source_lines" in report["parent"]
+    # extending the file runs no suite again
+    monkeypatch.setattr(bench_pairs, "tier1", lambda root: pytest.fail("tier-1 run twice"))
+    assert bench_pairs.main(argv + ["--trace", "1"]) == 0
+    assert bench_pairs.json.loads(out.read_text())["parent"]["tier1"] == parent

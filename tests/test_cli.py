@@ -457,6 +457,10 @@ class TestLifespanCommand:
     ["kernel-scan", "--k", "0", "--l", "-1/2", "--p", "2", "--tier", "quick",
      "--resolution", "0.3"],
     ["kernel-scan", "--k", "0", "--l", "-1/2", "--p", "2", "--r-max", "10"],
+    # a dilation factor that is not positive is a GridError, before any box
+    # L/mu is formed, whichever place it has in --mu
+    ["lifespan", "--mu", "1,0", "--n", "64", "--t-final", "0.01"],
+    ["lifespan", "--mu", "2,-1", "--n", "64", "--t-final", "0.01"],
 ])
 def test_bad_input_is_one_stderr_line_and_exit_2(capsys, argv):
     try:

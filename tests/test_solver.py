@@ -3,6 +3,7 @@ and the two empirical flow-map probes."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -181,7 +182,8 @@ class TestStepAndEvolve:
                 for j, row in zip(alive, y):
                     seen[i, int(j)] = row.copy()
 
-            return S._integrate(S._spectral(data, cfg), cfg, keep), seen
+            return S._integrate(S._spectral(data, cfg), S._Lawson(cfg), keep,
+                                cfg.steps, cfg.sample_stride), seen
 
         blowup, seen = run([calm, wild, calmer])
         assert blowup[0] is None and blowup[2] is None
@@ -190,6 +192,39 @@ class TestStepAndEvolve:
         assert 0 < last < cfg.steps
         for member, data in ((0, calm), (2, calmer)):
             solo_blowup, solo = run([data])
+            assert solo_blowup == [None]
+            assert len(solo) == cfg.steps + 1
+            for (i, _), row in solo.items():
+                assert np.array_equal(seen[i, member], row)
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_per_member_operators_leave_with_a_member_that_blows_up(self):
+        # each member has its own box and dt; the wild one blows up mid-run,
+        # and the others must still step with their own operator rows
+        cfg = S.SolverConfig(n=64, box=4.0, dt=0.05, t_final=2.0)
+        cfgs = [cfg, cfg, replace(cfg, box=2.0, dt=0.0125), replace(cfg, box=8.0, dt=0.1)]
+        x = spatial_grid(cfg)
+        wild = (1e8 * np.exp(-(x**2)), -1e16 * np.exp(-(x**2)), np.zeros(cfg.n))
+        data = [smooth_data(cfg.n, cfg.box, amplitude=0.5), wild,
+                smooth_data(cfg.n, cfg.box, amplitude=0.25),
+                smooth_data(cfg.n, cfg.box, amplitude=0.125)]
+
+        def run(members, lawson):
+            seen = {}
+
+            def keep(i, alive, y):
+                for j, row in zip(alive, y):
+                    seen[i, int(j)] = row.copy()
+
+            y = np.concatenate([S._spectral([d], c) for d, c in members], axis=1)
+            return S._integrate(y, lawson, keep, cfg.steps), seen
+
+        blowup, seen = run(list(zip(data, cfgs)), S._Lawson(*cfgs))
+        assert blowup[1] is not None and 0 < blowup[1] < cfg.steps
+        assert blowup[0] is None and blowup[2] is None and blowup[3] is None
+        for member in (0, 2, 3):
+            solo_blowup, solo = run([(data[member], cfgs[member])], S._Lawson(cfgs[member]))
             assert solo_blowup == [None]
             assert len(solo) == cfg.steps + 1
             for (i, _), row in solo.items():
@@ -229,8 +264,9 @@ class TestEnergyOracle:
         cfg = S.SolverConfig(n=256, box=32.0, dt=dt, t_final=0.5)
         data = [(u0.to_samples(), n0.to_samples().real, n1.to_samples().real)]
         energies = []
-        S._integrate(S._spectral(data, cfg), cfg,
-                     lambda i, alive, y: energies.append(zakharov_energy(y, cfg)[0]))
+        S._integrate(S._spectral(data, cfg), S._Lawson(cfg),
+                     lambda i, alive, y: energies.append(zakharov_energy(y, cfg)[0]),
+                     cfg.steps, cfg.sample_stride)
         return max(abs(e - energies[0]) for e in energies)
 
     def test_energy_drift_is_fourth_order(self):
@@ -240,6 +276,30 @@ class TestEnergyOracle:
             assert math.log2(coarse / fine) >= 3.5
 
 
+def warm_step_peak(cfgs, batch):
+    """Peak traced allocation of one warm Lawson step over a seeded batch,
+    with numpy's iterator buffer pinned to its default of 8192 elements;
+    one config serves the whole batch, several are one per member."""
+    rng = np.random.default_rng(0)
+    data = [
+        (rng.normal(size=cfgs[0].n) + 1j * rng.normal(size=cfgs[0].n),
+         rng.normal(size=cfgs[0].n), np.zeros(cfgs[0].n))
+        for _ in range(batch)
+    ]
+    members = cfgs if len(cfgs) == batch else cfgs * batch
+    y = np.concatenate([S._spectral([d], c) for d, c in zip(data, members)], axis=1)
+    lawson = S._Lawson(*cfgs)
+    lawson.step(y)
+    old_bufsize = np.setbufsize(8192)
+    tracemalloc.start()
+    try:
+        lawson.step(y)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(old_bufsize)
+
+
 class TestLawsonCore:
     def test_warm_step_peak_allocation_stays_under_the_trim_threshold(self):
         # numpy's broadcasting ufuncs take an iterator buffer of at most
@@ -247,25 +307,30 @@ class TestLawsonCore:
         # 80 KiB, here, with the size pinned to numpy's default of 8192.  A
         # (20, 256) complex temporary (80 KiB) held next to it crosses
         # glibc's default mmap and trim threshold
-        cfg = S.SolverConfig(n=256, box=32.0)
-        rng = np.random.default_rng(0)
-        data = [
-            (rng.normal(size=cfg.n) + 1j * rng.normal(size=cfg.n),
-             rng.normal(size=cfg.n), np.zeros(cfg.n))
-            for _ in range(20)
-        ]
-        y = S._spectral(data, cfg)
-        lawson = S._Lawson(cfg)
-        lawson.step(y)
-        old_bufsize = np.setbufsize(8192)
-        tracemalloc.start()
-        try:
-            lawson.step(y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-            np.setbufsize(old_bufsize)
-        assert peak < 128 * 1024
+        assert warm_step_peak([S.SolverConfig(n=256, box=32.0)], 20) < 128 * 1024
+
+    def test_warm_step_peak_allocation_at_batch_one_and_in_the_lifespan_batch(self):
+        # at batch 1 every product has operands of one shape; the lifespan
+        # batch has per-member operators and (1, batch, 1) dt columns
+        cfg = S.SolverConfig(n=512, box=32.0, dt=2e-4)
+        dilations = [replace(cfg, box=cfg.box / mu, dt=cfg.dt / (mu * mu))
+                     for mu in (1.0, 2.0, 4.0)]
+        assert warm_step_peak([S.SolverConfig(n=256, box=32.0)], 1) < 128 * 1024
+        assert warm_step_peak([cfg], 1) < 128 * 1024
+        assert warm_step_peak(dilations, 3) < 128 * 1024
+
+    @pytest.mark.parametrize("n", [64, 256, 512])
+    @pytest.mark.parametrize("batch", [1, 3, 20])
+    def test_transforms_are_numpys_bit_for_bit(self, batch, n):
+        # the core calls numpy's pocketfft gufuncs directly; a numpy release
+        # that changes them must fail here rather than shift payloads
+        rng = np.random.default_rng(n + batch)
+        a = rng.normal(size=(2, batch, n)) + 1j * rng.normal(size=(2, batch, n))
+        lawson = S._Lawson(S.SolverConfig(n=n))
+        for ours, theirs in ((lawson.fft, np.fft.fft), (lawson.ifft, np.fft.ifft)):
+            out = np.empty_like(a)
+            assert ours(a, out) is out
+            assert out.tobytes() == theirs(a).tobytes()
 
 
 class TestLipschitzProbe:
@@ -306,7 +371,88 @@ class TestLipschitzProbe:
                 assert r is not None and r < 10.0
 
 
+def sequential_lifespan(u0, n0, n1, mus, cfg):
+    """The lifespan probe as one run per dilation, one after the other, each
+    on its own core: the reference for the batched probe.  Also returns the
+    dilations that blew up."""
+    mus, times, base_T, blew_up = tuple(sorted(mus)), {}, None, []
+    for mu in mus:
+        scale = mu * mu
+        if base_T is None:
+            budget, dt = cfg.t_final, cfg.dt
+        else:
+            budget = S.LIFESPAN_BUDGET_FACTOR * base_T / scale
+            dt = cfg.dt / scale
+            budget = math.ceil(budget / dt) * dt
+        run = replace(cfg, box=u0.box[0] / mu, dt=dt, t_final=budget, sample_stride=1)
+        data = (G.dilate(u0, mu, 1.5).to_samples(), G.dilate(n0, mu, 2.0).to_samples().real,
+                G.dilate(n1, mu, 4.0).to_samples().real)
+        ts, qs = [], []
+
+        def watch(i, alive, y):
+            ts.append(i * run.dt)
+            qs.append(float(np.max(np.abs(np.fft.ifft(y[0, 0])))))
+            return np.array([i > 0 and qs[-1] >= 2.0 * qs[0]])
+
+        (step,) = S._integrate(S._spectral([data], run), S._Lawson(run), watch, run.steps)
+        t_dep = None if step is None else step * run.dt
+        if step is not None:
+            blew_up.append(mu)
+        elif len(qs) > 1 and qs[-1] >= 2.0 * qs[0]:
+            target, q, prev_q = 2.0 * qs[0], qs[-1], qs[-2]
+            t_dep = ts[-1] if q == prev_q else (
+                ts[-2] + (target - prev_q) / (q - prev_q) * (ts[-1] - ts[-2]))
+        times[mu] = t_dep
+        if base_T is None:
+            if t_dep is None:
+                return S.LifespanReport(times, None, -2.0, inconclusive=True), blew_up
+            base_T = t_dep
+    observed = [(mu, t) for mu, t in times.items() if t is not None and mu > 0]
+    if len(observed) < 2:
+        return S.LifespanReport(times, None, -2.0, inconclusive=True), blew_up
+    slope = float(np.polyfit(np.log([mu for mu, _ in observed]),
+                             np.log([t for _, t in observed]), 1)[0])
+    return S.LifespanReport(times, slope, -2.0,
+                            inconclusive=len(observed) < len(mus)), blew_up
+
+
 class TestLifespanProbe:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("amplitude,mus,dt,t_final,outcome", [
+        (12.0, (1.0, 2.0, 4.0), 2e-4, 0.5, "departs"),
+        (13.0, (2.0, 1.0), 2e-4, 0.5, "departs"),
+        (14.0, (0.5, 1.0, 3.0), 2e-4, 0.5, "departs"),
+        (1e-3, (1.0, 2.0), 1e-3, 0.1, "first stays"),
+        (1e40, (1.0, 2.0, 4.0), 5e-3, 0.1, "blows up"),
+        (12.0, (2.0, 4.0), 2e-4, 0.5, "later runs out"),  # budget 4 T1 / mu^2, not / (mu/2)^2
+    ])
+    def test_batch_equals_sequential_runs(self, amplitude, mus, dt, t_final, outcome):
+        u0, n0, n1 = S.gaussian_focusing_data(256, 32.0, amplitude)
+        cfg = S.SolverConfig(n=256, box=32.0, dt=dt, t_final=t_final)
+        rep = S.lifespan_probe(u0, n0, n1, mus, cfg)
+        ref, blew_up = sequential_lifespan(u0, n0, n1, mus, cfg)
+        assert rep == ref
+        assert list(rep.departure_times.items()) == list(ref.departure_times.items())
+        if outcome == "first stays":  # only the first dilation is reported
+            assert rep.departure_times == {1.0: None}
+        if outcome == "later runs out":  # the later member left at its budget
+            assert rep.departure_times[2.0] is not None and rep.departure_times[4.0] is None
+        assert bool(blew_up) == (outcome == "blows up")
+
+    def test_one_probe_builds_one_core(self, monkeypatch):
+        built = []
+
+        class Counted(S._Lawson):
+            def __init__(self, *cfgs):
+                built.append(len(cfgs))
+                super().__init__(*cfgs)
+
+        monkeypatch.setattr(S, "_Lawson", Counted)
+        u0, n0, n1 = S.gaussian_focusing_data(128, 32.0, 40.0)
+        cfg = S.SolverConfig(n=128, box=32.0, dt=5e-3, t_final=0.5)
+        S.lifespan_probe(u0, n0, n1, (1.0, 2.0, 4.0), cfg)
+        assert built == [3]
+
     def test_slope_near_reference_for_focusing_family(self):
         u0, n0, n1 = S.gaussian_focusing_data(512, 32.0, 12.0)
         cfg = S.SolverConfig(n=512, box=32.0, dt=2e-4, t_final=0.5, sample_stride=1)

@@ -21,20 +21,30 @@ parent's quartile spread relative to its median exceeds the bound unless
 every change run beats every parent run, and "within" otherwise.
 It also gives the jobs attempted and failed on each side, for a traced
 entry each side's `absent` list (the traced names its package no longer
-has, from the runs' first line), and, at the top, each checkout's git SHA
-and `wc -l src/zaklab/*.py`.  A file that
-already exists is extended, provided it was written for the same two
-commits.
+has, from the runs' first line), and, at the top, each checkout's git SHA,
+`wc -l src/zaklab/*.py` and tier-1 result: the tests passed, failed
+(errors included) and the seconds taken by one `python -m pytest -q
+--continue-on-collection-errors` in the checkout with PYTHONPATH=src, run
+once per checkout per file.  A file that already exists is extended,
+provided it was written for the same two commits.
+
+A run's last line must be a result: a JSON object with `correct`,
+`attempted`, `failed` and `metrics`, every metric `value` a finite number,
+and no NaN or Infinity anywhere.  Anything else ends the tool with one
+message naming the command, the checkout and the head of the line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -55,6 +65,22 @@ def checkout_info(root: Path) -> dict:
         "dirty": None if status is None else bool(status),
         "source_lines": {**lines, "total": sum(lines.values())},
     }
+
+
+def tier1(root: Path) -> dict:
+    """Passed, failed (errors included) and seconds of the tier-1 suite in
+    root, with PYTHONPATH=src alone so no other checkout's package leaks in."""
+    env = {**os.environ, "PYTHONPATH": "src"}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+        cwd=root, env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - start
+    tail = proc.stdout.strip().splitlines()[-1:] or [""]
+    counts = {word: int(num) for num, word in re.findall(r"(\d+) (\w+)", tail[0])}
+    return {"passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0) + counts.get("error", 0) + counts.get("errors", 0),
+            "seconds": round(seconds, 2)}
 
 
 def benchmark_spec(root: Path) -> dict:
@@ -90,6 +116,25 @@ def bound_verdict(parent: list[float], change: list[float], better: str,
     return "within"
 
 
+def _no_constant(name: str):
+    raise ValueError(f"non-finite constant {name}")
+
+
+def result_line(line: str) -> dict:
+    """The result a run's last line holds, by the rule in the module
+    docstring; ValueError if it holds none."""
+    result = json.loads(line, parse_constant=_no_constant)
+    if not (isinstance(result, dict)
+            and {"correct", "attempted", "failed", "metrics"} <= result.keys()
+            and isinstance(result["metrics"], dict)):
+        raise ValueError("not an object with correct, attempted, failed and metrics")
+    for name, metric in result["metrics"].items():
+        value = metric.get("value") if isinstance(metric, dict) else None
+        if not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ValueError(f"metric {name} has no finite value")
+    return result
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One zakbench run in `root`; returns its last output line, with the
     `absent` list of its first line's details added."""
@@ -101,8 +146,13 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -
     if proc.returncode != 0 or not lines:
         sys.exit(f"bench_pairs: {' '.join(cmd)} in {root} exited {proc.returncode}: "
                  f"{proc.stderr.strip()[-500:]}")
-    absent = json.loads(lines[0])["details"]["absent"]
-    return {**json.loads(lines[-1]), "absent": absent}
+    try:
+        result = result_line(lines[-1])
+        absent = json.loads(lines[0], parse_constant=_no_constant)["details"]["absent"]
+    except (ValueError, TypeError, KeyError) as exc:
+        sys.exit(f"bench_pairs: {' '.join(cmd)} in {root} gave no result ({exc}); "
+                 f"last line: {lines[-1][:200]!r}")
+    return {**result, "absent": absent}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -176,6 +226,10 @@ def main(argv=None) -> int:
             if report[side]["git_sha"] != info[side]["git_sha"]:
                 sys.exit(f"bench_pairs: {args.out} was written for another {side} "
                          f"commit ({report[side]['git_sha']})")
+
+    for side in SIDES:
+        if "tier1" not in report[side]:
+            report[side]["tier1"] = tier1(roots[side])
 
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     for pair in range(args.pairs):
