@@ -405,8 +405,9 @@ def lifespan_probe(
     """Measure how the departure time scales under the focusing dilation.
 
     Data are dilated with amplitude exponents (3/2, 2, 4) for (u0, n0, n1)
-    onto the box L/mu; time step and budget shrink by mu^-2 so each run
-    resolves the sped-up dynamics equally (a run after the first gets
+    onto the box L/mu.  The first run, at the smallest mu1, takes cfg's time
+    step and budget; a later run's shrink by (mu/mu1)^-2, so each run
+    resolves the sped-up dynamics equally (its budget is
     LIFESPAN_BUDGET_FACTOR times the first departure time).  Reports the
     log-log slope of departure time against mu next to the reference slope
     -2, or the first run alone if it ends without departing.
@@ -423,8 +424,9 @@ def lifespan_probe(
     mus = tuple(sorted(mus))
     data = [(dilate(u0, mu, 1.5).to_samples(), dilate(n0, mu, 2.0).to_samples().real,
              dilate(n1, mu, 4.0).to_samples().real) for mu in mus]  # rejects a bad mu
-    cfgs = [replace(cfg, box=u0.box[0] / mu, dt=cfg.dt / (mu * mu) if j else cfg.dt,
-                    t_final=0.0 if j else cfg.t_final) for j, mu in enumerate(mus)]
+    scale = [(mu / mus[0]) * (mu / mus[0]) for mu in mus]  # all mu * mu when mu1 = 1
+    cfgs = [replace(cfg, box=u0.box[0] / mu, dt=cfg.dt / s, t_final=0.0 if j else cfg.t_final)
+            for j, (mu, s) in enumerate(zip(mus, scale))]
     y = np.concatenate([_spectral([d], c) for d, c in zip(data, cfgs)], axis=1)
     lawson = _Lawson(*cfgs)
     budgets = [cfgs[0].steps] + [None] * (len(mus) - 1)  # the later ones set in watch
@@ -445,7 +447,7 @@ def lifespan_probe(
             if base_T is None:
                 return np.ones(len(alive), dtype=bool)
             for j in range(1, len(mus)):
-                budget = LIFESPAN_BUDGET_FACTOR * base_T / (mus[j] * mus[j])
+                budget = LIFESPAN_BUDGET_FACTOR * base_T / scale[j]
                 budget = math.ceil(budget / cfgs[j].dt) * cfgs[j].dt
                 budgets[j] = replace(cfgs[j], t_final=budget).steps
             leaving = [gone or i == budgets[j] for gone, j in zip(leaving, alive)]

@@ -81,7 +81,7 @@ def test_runs_last_as_long_as_the_changes_benchmark_fixes(tmp_path, monkeypatch)
         roots[side] = root
     calls = []
 
-    def fake_run_once(root, workload, seed, seconds, trace):
+    def fake_run_once(root, workload, seed, seconds, trace, required=()):
         calls.append((root.name, seconds))
         return run(1.0 if root.name == "parent" else 0.5, 40.0)
 
@@ -182,6 +182,27 @@ def test_result_line(line, ok):
     else:
         with pytest.raises(ValueError):
             bench_pairs.result_line(line)
+
+
+def test_a_traced_run_without_a_per_layer_metric_ends_the_run(tmp_path, monkeypatch):
+    # the stub's result carries wall_s only: a traced run that misses a layer
+    monkeypatch.setattr(bench_pairs, "tier1", lambda root: {})
+    roots = stub_checkouts(tmp_path, STUB_RUN % [])
+    (roots["change"] / "BENCHMARK.json").write_text(
+        '{"run_seconds": 1, "per_layer": [{"name": "wall_s", "better": "lower"}, '
+        '{"name": "solver.evolve.calls", "better": "lower"}, '
+        '{"name": "solver.evolve.us_per_step", "better": "lower"}]}')
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(roots["parent"]), "--change", str(roots["change"]),
+            "--workload", "flow", "--seed", "1", "--pairs", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0  # untraced runs carry no per-layer metric
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv + ["--trace", "1"])
+    message = str(exc.value.code)
+    assert "zakbench/run.py --workload flow" in message and "--trace 1" in message
+    assert str(roots["parent"]) in message  # the parent runs first
+    # wall_s is present, so only the two others are named
+    assert "metrics solver.evolve.calls, solver.evolve.us_per_step (absent: [])" in message
 
 
 def test_each_checkouts_tier1_result_is_recorded_once_per_file(tmp_path, monkeypatch):

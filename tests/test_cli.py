@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from zaklab import cli
 from zaklab import grids as G
+from zaklab import kernels as K
 
 
 def run(capsys, *argv):
@@ -154,13 +155,13 @@ class TestKernelScanCommand:
 
     def test_one_scan_per_family_serves_both_signs(self, capsys, monkeypatch):
         calls = []
-        real = cli.kernels.kernel_sup
+        real = K.kernel_sup
 
         def counted(spec, *args, **kwargs):
             calls.append(spec.family)
             return real(spec, *args, **kwargs)
 
-        monkeypatch.setattr(cli.kernels, "kernel_sup", counted)
+        monkeypatch.setattr(K, "kernel_sup", counted)
         code, doc = run_json(capsys, "kernel-scan", "--k", "0", "--l", "-1/2",
                              "--p", "2", "--r-max", "8", "--resolution", "0.5")
         assert calls == ["S", "W"]
@@ -175,7 +176,7 @@ class TestKernelScanCommand:
             built.append(args)
             raise AssertionError("a rejected ladder reached the sigma2 table")
 
-        monkeypatch.setattr(cli.kernels, "_complete_table", builder)
+        monkeypatch.setattr(K, "_complete_table", builder)
         for size in (["--tier", "quick", "--resolution", "0.3"], ["--r-max", "10"]):
             code = cli.main(["kernel-scan", "--k", "0", "--l", "-1/2", "--p", "2",
                              *size])
@@ -599,38 +600,60 @@ def test_importing_the_cli_leaves_scipy_signal_out():
 
 # Run one command line in a fresh interpreter and print its exit code and
 # the scipy modules it loaded.
-SCIPY_FOOTPRINT_PROBE = """import contextlib, io, sys
+FOOTPRINT_PROBE = """import contextlib, io, json, sys
 from zaklab import cli
+NUMERIC = ("numpy", "zaklab.grids", "zaklab.kernels", "zaklab.solver")
+def loaded():
+    return {"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+            "numeric": [m for m in NUMERIC if m in sys.modules]}
+on_import = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     try:
         code = cli.main(sys.argv[1:])
     except SystemExit as exc:
         code = exc.code
-print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(json.dumps({"code": code, "on_import": on_import, **loaded()}))
 """
+NUMERIC_LAYERS = ["numpy", "zaklab.grids", "zaklab.kernels", "zaklab.solver"]
+TINY_RUN = ["--n", "64", "--t-final", "0.01"]
 
 
-@pytest.mark.parametrize("argv, loads_scipy", [
-    (["--version"], False),
-    (["admissible", *CORNER, "--b", "11/20", "--b1", "11/20"], False),
-    (["trilinear-test", "--trials", "1", "--grid", "8"], False),
-    (["simulate", "--n", "64", "--t-final", "0.01"], False),
-    # the one command that calls scipy, so the deferred import is exercised
-    (["kernel-scan", *CORNER, "--tier", "quick", "--r-max", "8", "--resolution",
-      "0.5", "--family", "S", "--sign", "plus"], True),
+@pytest.mark.parametrize("argv, code, loads_scipy, loads_numeric", [
+    pytest.param(["--version"], 0, False, False, id="version"),
+    pytest.param(["--help"], 0, False, False, id="help"),
+    pytest.param(["simulate", "--n", "x"], 2, False, False, id="usage-error"),
+    pytest.param(COMMAND_ARGV["admissible"], 0, False, False, id="admissible"),
+    pytest.param(["window", *CORNER], 0, False, False, id="window"),
+    pytest.param(["optimize"], 0, False, False, id="optimize"),
+    pytest.param(["scaling", *CORNER], 0, False, False, id="scaling"),
+    pytest.param(["trilinear-test", "--trials", "1", "--grid", "8"], 0, False, True,
+                 id="trilinear-test"),
+    pytest.param(["simulate", *TINY_RUN], 0, False, True, id="simulate"),
+    pytest.param(["lipschitz", *CORNER, *TINY_RUN, "--seeds", "1"], 0, False, True,
+                 id="lipschitz"),
+    pytest.param(["lifespan", *TINY_RUN, "--dt", "1e-3"], 0, False, True, id="lifespan"),
+    # the one command that calls scipy, so the deferred import is exercised;
+    # the scan reaches its quadrature (exit 2 at this small a radius)
+    pytest.param(["kernel-scan", *CORNER, "--tier", "quick", "--r-max", "8",
+                  "--resolution", "0.5", "--family", "S", "--sign", "plus"],
+                 2, True, True, id="kernel-scan"),
 ])
-def test_only_kernel_scan_loads_scipy(argv, loads_scipy):
+def test_modules_each_command_loads(argv, code, loads_scipy, loads_numeric):
+    # importing cli loads no numpy; only the numeric commands load it, and
+    # they load every numeric layer, which keeps zakbench's traced metric set
     src = Path(cli.__file__).resolve().parents[1]
     done = subprocess.run(
-        [sys.executable, "-c", SCIPY_FOOTPRINT_PROBE, *argv], timeout=120,
+        [sys.executable, "-c", FOOTPRINT_PROBE, *argv], timeout=120,
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
-    code, modules = done.stdout.strip().split(" ", 1)
+    probe = json.loads(done.stdout)
+    assert probe["code"] == code, done.stderr
+    assert probe["on_import"] == {"scipy": [], "numeric": []}
     if loads_scipy:
-        # the scan reaches its quadrature (exit 2 at this small a radius)
-        assert "scipy.special" in modules, done.stderr
+        assert "scipy.special" in probe["scipy"]
     else:
-        assert (code, modules) == ("0", "[]"), done.stderr
+        assert probe["scipy"] == []
+    assert probe["numeric"] == (NUMERIC_LAYERS if loads_numeric else [])
 
 
 POINT = ["--k", "0", "--l", "-1/2", "--p", "2"]

@@ -377,7 +377,7 @@ def sequential_lifespan(u0, n0, n1, mus, cfg):
     dilations that blew up."""
     mus, times, base_T, blew_up = tuple(sorted(mus)), {}, None, []
     for mu in mus:
-        scale = mu * mu
+        scale = (mu / mus[0]) * (mu / mus[0])
         if base_T is None:
             budget, dt = cfg.t_final, cfg.dt
         else:
@@ -424,7 +424,10 @@ class TestLifespanProbe:
         (14.0, (0.5, 1.0, 3.0), 2e-4, 0.5, "departs"),
         (1e-3, (1.0, 2.0), 1e-3, 0.1, "first stays"),
         (1e40, (1.0, 2.0, 4.0), 5e-3, 0.1, "blows up"),
-        (12.0, (2.0, 4.0), 2e-4, 0.5, "later runs out"),  # budget 4 T1 / mu^2, not / (mu/2)^2
+        (12.0, (2.0, 4.0), 2e-4, 0.5, "departs"),  # budget 4 T1 / (mu/2)^2, not / mu^2
+        # the dynamics are not self-similar: mu = 32 alone departs at about
+        # 4.08 T1 / 32^2, just after its budget of 4 T1 / 32^2
+        (6.0, (1.0, 32.0), 1e-3, 1.0, "later runs out"),
     ])
     def test_batch_equals_sequential_runs(self, amplitude, mus, dt, t_final, outcome):
         u0, n0, n1 = S.gaussian_focusing_data(256, 32.0, amplitude)
@@ -435,8 +438,11 @@ class TestLifespanProbe:
         assert list(rep.departure_times.items()) == list(ref.departure_times.items())
         if outcome == "first stays":  # only the first dilation is reported
             assert rep.departure_times == {1.0: None}
+        if outcome == "departs":
+            assert None not in rep.departure_times.values()
         if outcome == "later runs out":  # the later member left at its budget
-            assert rep.departure_times[2.0] is not None and rep.departure_times[4.0] is None
+            assert rep.departure_times == {1.0: rep.departure_times[1.0], 32.0: None}
+            assert rep.departure_times[1.0] is not None
         assert bool(blew_up) == (outcome == "blows up")
 
     def test_one_probe_builds_one_core(self, monkeypatch):

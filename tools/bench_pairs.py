@@ -31,7 +31,11 @@ provided it was written for the same two commits.
 A run's last line must be a result: a JSON object with `correct`,
 `attempted`, `failed` and `metrics`, every metric `value` a finite number,
 and no NaN or Infinity anywhere.  Anything else ends the tool with one
-message naming the command, the checkout and the head of the line.
+message naming the command, the checkout and the head of the line.  A
+traced run's result must also hold every `per_layer` metric of the
+change's BENCHMARK.json; a run that lacks one (a layer the tracer found
+unloaded drops its metrics) ends the tool with one message naming the
+command, the checkout and the missing names.
 """
 
 from __future__ import annotations
@@ -135,9 +139,11 @@ def result_line(line: str) -> dict:
     return result
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int,
+             required: tuple[str, ...] = ()) -> dict:
     """One zakbench run in `root`; returns its last output line, with the
-    `absent` list of its first line's details added."""
+    `absent` list of its first line's details added.  The line must hold
+    every metric named in required."""
     env = {key: val for key, val in os.environ.items() if key != "PYTHONPATH"}
     cmd = [sys.executable, "zakbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
@@ -152,6 +158,10 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -
     except (ValueError, TypeError, KeyError) as exc:
         sys.exit(f"bench_pairs: {' '.join(cmd)} in {root} gave no result ({exc}); "
                  f"last line: {lines[-1][:200]!r}")
+    missing = [name for name in required if name not in result["metrics"]]
+    if missing:
+        sys.exit(f"bench_pairs: {' '.join(cmd)} in {root} lacks the per-layer "
+                 f"metrics {', '.join(missing)} (absent: {absent})")
     return {**result, "absent": absent}
 
 
@@ -217,6 +227,9 @@ def main(argv=None) -> int:
             parser.error(f"--{side} {root} holds no zakbench/run.py")
     spec = benchmark_spec(roots["change"])
     seconds = spec["run_seconds"]
+    # a traced run must carry every per-layer metric
+    required = tuple(metric["name"] for metric in spec.get("per_layer", [])
+                     if args.trace)
 
     info = {side: checkout_info(root) for side, root in roots.items()}
     report = {"parent": info["parent"], "change": info["change"], "runs": {}}
@@ -236,7 +249,7 @@ def main(argv=None) -> int:
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for side in order:
             runs[side].append(run_once(roots[side], args.workload, args.seed,
-                                       seconds, args.trace))
+                                       seconds, args.trace, required))
         print(f"pair {pair + 1}/{args.pairs}: " + ", ".join(
             f"{side} {runs[side][-1]['metrics']}" for side in SIDES
         ), file=sys.stderr)
