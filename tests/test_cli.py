@@ -600,9 +600,10 @@ def test_importing_the_cli_leaves_scipy_signal_out():
 
 # Run one command line in a fresh interpreter and print its exit code and
 # the scipy modules it loaded.
+NUMERIC_LAYERS = ["numpy", "zaklab.grids", "zaklab.kernels", "zaklab.solver"]
 FOOTPRINT_PROBE = """import contextlib, io, json, sys
 from zaklab import cli
-NUMERIC = ("numpy", "zaklab.grids", "zaklab.kernels", "zaklab.solver")
+NUMERIC = %r
 def loaded():
     return {"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
             "numeric": [m for m in NUMERIC if m in sys.modules]}
@@ -613,8 +614,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     except SystemExit as exc:
         code = exc.code
 print(json.dumps({"code": code, "on_import": on_import, **loaded()}))
-"""
-NUMERIC_LAYERS = ["numpy", "zaklab.grids", "zaklab.kernels", "zaklab.solver"]
+""" % NUMERIC_LAYERS
 TINY_RUN = ["--n", "64", "--t-final", "0.01"]
 
 
