@@ -599,7 +599,7 @@ def test_importing_the_cli_leaves_scipy_signal_out():
 
 
 # Run one command line in a fresh interpreter and print its exit code and
-# the scipy modules it loaded.
+# the scipy and numeric modules it loaded, on import and after the command.
 NUMERIC_LAYERS = ["numpy", "zaklab.grids", "zaklab.kernels", "zaklab.solver"]
 FOOTPRINT_PROBE = """import contextlib, io, json, sys
 from zaklab import cli
@@ -618,41 +618,58 @@ print(json.dumps({"code": code, "on_import": on_import, **loaded()}))
 TINY_RUN = ["--n", "64", "--t-final", "0.01"]
 
 
-@pytest.mark.parametrize("argv, code, loads_scipy, loads_numeric", [
-    pytest.param(["--version"], 0, False, False, id="version"),
-    pytest.param(["--help"], 0, False, False, id="help"),
-    pytest.param(["simulate", "--n", "x"], 2, False, False, id="usage-error"),
-    pytest.param(COMMAND_ARGV["admissible"], 0, False, False, id="admissible"),
-    pytest.param(["window", *CORNER], 0, False, False, id="window"),
-    pytest.param(["optimize"], 0, False, False, id="optimize"),
-    pytest.param(["scaling", *CORNER], 0, False, False, id="scaling"),
-    pytest.param(["trilinear-test", "--trials", "1", "--grid", "8"], 0, False, True,
-                 id="trilinear-test"),
-    pytest.param(["simulate", *TINY_RUN], 0, False, True, id="simulate"),
-    pytest.param(["lipschitz", *CORNER, *TINY_RUN, "--seeds", "1"], 0, False, True,
-                 id="lipschitz"),
-    pytest.param(["lifespan", *TINY_RUN, "--dt", "1e-3"], 0, False, True, id="lifespan"),
-    # the one command that calls scipy, so the deferred import is exercised;
-    # the scan reaches its quadrature (exit 2 at this small a radius)
-    pytest.param(["kernel-scan", *CORNER, "--tier", "quick", "--r-max", "8",
-                  "--resolution", "0.5", "--family", "S", "--sign", "plus"],
-                 2, True, True, id="kernel-scan"),
-])
-def test_modules_each_command_loads(argv, code, loads_scipy, loads_numeric):
-    # importing cli loads no numpy; only the numeric commands load it, and
-    # they load every numeric layer, which keeps zakbench's traced metric set
+def footprint(argv):
     src = Path(cli.__file__).resolve().parents[1]
     done = subprocess.run(
         [sys.executable, "-c", FOOTPRINT_PROBE, *argv], timeout=120,
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
-    probe = json.loads(done.stdout)
-    assert probe["code"] == code, done.stderr
-    assert probe["on_import"] == {"scipy": [], "numeric": []}
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("argv, loads_scipy", [
+    (["--version"], False),
+    (["admissible", *CORNER, "--b", "11/20", "--b1", "11/20"], False),
+    (["trilinear-test", "--trials", "1", "--grid", "8"], False),
+    (["simulate", "--n", "64", "--t-final", "0.01"], False),
+    # the one command that calls scipy, so the deferred import is exercised
+    (["kernel-scan", *CORNER, "--tier", "quick", "--r-max", "8", "--resolution",
+      "0.5", "--family", "S", "--sign", "plus"], True),
+])
+def test_only_kernel_scan_loads_scipy(argv, loads_scipy):
+    probe = footprint(argv)
     if loads_scipy:
+        # the scan reaches its quadrature (exit 2 at this small a radius)
         assert "scipy.special" in probe["scipy"]
     else:
-        assert probe["scipy"] == []
+        assert (probe["code"], probe["scipy"]) == (0, [])
+
+
+@pytest.mark.parametrize("argv, code, loads_numeric", [
+    pytest.param(["--version"], 0, False, id="version"),
+    pytest.param(["--help"], 0, False, id="help"),
+    pytest.param(["simulate", "--n", "x"], 2, False, id="usage-error"),
+    pytest.param(COMMAND_ARGV["admissible"], 0, False, id="admissible"),
+    pytest.param(["window", *CORNER], 0, False, id="window"),
+    pytest.param(["optimize"], 0, False, id="optimize"),
+    pytest.param(["scaling", *CORNER], 0, False, id="scaling"),
+    pytest.param(["trilinear-test", "--trials", "1", "--grid", "8"], 0, True,
+                 id="trilinear-test"),
+    pytest.param(["simulate", *TINY_RUN], 0, True, id="simulate"),
+    pytest.param(["lipschitz", *CORNER, *TINY_RUN, "--seeds", "1"], 0, True,
+                 id="lipschitz"),
+    pytest.param(["lifespan", *TINY_RUN, "--dt", "1e-3"], 0, True, id="lifespan"),
+    pytest.param(["kernel-scan", *CORNER, "--tier", "quick", "--r-max", "8",
+                  "--resolution", "0.5", "--family", "S", "--sign", "plus"],
+                 2, True, id="kernel-scan"),
+])
+def test_only_numeric_commands_load_numpy(argv, code, loads_numeric):
+    # importing cli loads no numpy; only the numeric commands load it, and
+    # they load every numeric layer, which keeps zakbench's traced metric set
+    probe = footprint(argv)
+    assert probe["code"] == code
+    assert probe["on_import"] == {"scipy": [], "numeric": []}
     assert probe["numeric"] == (NUMERIC_LAYERS if loads_numeric else [])
 
 
