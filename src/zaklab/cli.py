@@ -411,6 +411,9 @@ def cmd_simulate(args):
 
 
 def cmd_lipschitz(args):
+    params._check_p(args.p)
+    if not any(args.deltas):
+        raise ZaklabError("--deltas needs a nonzero delta: 0 is only the exact-match sentinel")
     cfg = solver.SolverConfig(
         n=args.n, box=args.box, dt=args.dt, t_final=args.t_final,
         sample_stride=args.sample_stride,

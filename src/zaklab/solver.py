@@ -45,8 +45,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.n < 2 or (self.n & (self.n - 1)) != 0:
             raise SolverError(f"n must be a power of two (got {self.n})")
-        if self.dt <= 0 or self.box <= 0 or self.t_final < 0:
-            raise SolverError("dt and box must be positive, t_final nonnegative")
+        if not (0 < self.dt < math.inf and 0 < self.box < math.inf
+                and 0 <= self.t_final < math.inf):
+            raise SolverError("dt and box must be positive, t_final nonnegative, all finite")
         if self.sample_stride < 1:
             raise SolverError(f"sample_stride must be positive (got {self.sample_stride})")
         steps = self.t_final / self.dt
@@ -99,17 +100,21 @@ class _Lawson:
     (1, batch, 1), and retain() drops the rows of members that leave.
     Every operation acts on each member alone, with the operand order of
     the scalar scheme, so a member's result does not depend on the batch.
-    The core owns all its working memory: five stage buffers and the
-    scratch of nonlinear, rebuilt together when the batch shape changes.
+    The core owns all its working memory: five stage buffers (k1 and k4 the
+    halves of one array), the scratch of nonlinear and their views, rebuilt
+    with the batch shape, and the views of y, rebuilt when y is replaced.
     Its transforms are numpy's pocketfft gufuncs with the factors np.fft
     passes: np.fft.fft / np.fft.ifft bit for bit, minus their wrapper."""
+
+    NEG_HALF_J = np.array(-0.5j)  # numpy reads a 0-d array faster than a Python complex
 
     def __init__(self, *cfgs: SolverConfig):
         from numpy.fft import _pocketfft_umath as pocketfft  # loads numpy.fft, as np.fft does
         n, regularized = cfgs[0].n, cfgs[0].regularized
-        inv_n = np.reciprocal(n, dtype=np.float64)
-        self.fft = lambda a, out: pocketfft.fft(a, 1, out=out)
-        self.ifft = lambda a, out: pocketfft.ifft(a, inv_n, out=out)
+        self.fwd, self.inv = pocketfft.fft, pocketfft.ifft
+        inv_n = self.inv_n = np.reciprocal(n, dtype=np.float64)
+        self.fft = lambda a, out: pocketfft.fft(a, 1, out)
+        self.ifft = lambda a, out: pocketfft.ifft(a, inv_n, out)
         # complex, so the 2/3 dealiasing products need no cast
         self.mask = (np.abs(mode_indices(n)) <= n // 3).astype(np.complex128)[None]
         rows = []
@@ -128,7 +133,7 @@ class _Lawson:
         self.neg_src = -self.src_sym
         dts = np.array([cfg.dt for cfg in cfgs]).reshape((1, -1, 1) if len(cfgs) > 1 else ())
         self.half, self.sixth = (f.astype(np.complex128) for f in (0.5 * dts, dts / 6.0))
-        self.bufs = ()
+        self.y = None
 
     def retain(self, kept):
         """Keep the per-member operator rows of the members in the mask kept."""
@@ -138,59 +143,70 @@ class _Lawson:
                 if (op := getattr(self, name)) is not None:
                     setattr(self, name, op.compress(kept, axis=-2))
 
-    def nonlinear(self, y, out):
-        """Write N(y) into out, with one inverse and one forward transform
-        of the stacked (2, batch, n) scratch pairs."""
-        mask, spec, phys, nsum_hat = self.mask, self.spec, self.phys, self.nsum_hat
-        np.add(y[1], y[2], out=nsum_hat)
-        np.multiply(mask, y[0], out=spec[0])
-        np.multiply(mask, nsum_hat, out=spec[1])
-        u, nsum = self.ifft(spec, phys)
-        np.multiply(-0.5j, nsum, out=spec[0])   # -0.5j nsum u
-        np.multiply(spec[0], u, out=spec[0])
-        np.conjugate(u, out=spec[1])            # u conj(u)
-        np.multiply(u, spec[1], out=spec[1])
-        nu_hat, sq_hat = self.fft(spec, phys)
-        np.multiply(nu_hat, mask, out=out[0])
-        np.multiply(sq_hat, mask, out=sq_hat)
-        np.multiply(self.neg_src, sq_hat, out=out[1])
-        np.multiply(self.src_sym, sq_hat, out=out[2])
+    def _bind(self, y):
+        """Take y as the batch: views of it, and on a new shape new memory."""
+        if self.y is None or self.y.shape != y.shape:
+            k14 = np.empty((2, *y.shape), y.dtype)  # k1 and k4
+            k2, k3, s, spec, phys = (np.empty_like(a) for a in (y, y, y, y[:2], y[:2]))
+            ks = (k14[0], k2, k3, k14[1])
+            self.work = (k14, *ks, s, (*s,), tuple((k[:2], k[1], k[2]) for k in ks))
+            self.scratch = (spec, *spec, phys, *phys, np.empty_like(y[0]),
+                            np.broadcast_to(self.mask, spec.shape).copy())
+            self.finite = np.empty_like(y.view(np.float64), bool)
+        self.y, self.fields, self.flat = y, (*y,), y.view(np.float64)
+
+    def nonlinear(self, fields, outs):
+        """Write N(y) into out, given the views (y[0], y[1], y[2]) and
+        (out[:2], out[1], out[2]), with one inverse and one forward
+        transform of the stacked (2, batch, n) scratch pairs."""
+        (u_hat, p_hat, m_hat), (pair, plus, minus) = fields, outs
+        spec, spec0, spec1, phys, u, nsum, nsum_hat, mask2 = self.scratch
+        np.add(p_hat, m_hat, nsum_hat)
+        np.multiply(self.mask, u_hat, spec0)
+        np.multiply(self.mask, nsum_hat, spec1)
+        self.inv(spec, self.inv_n, phys)
+        np.multiply(self.NEG_HALF_J, nsum, spec0)  # -0.5j nsum u
+        np.multiply(spec0, u, spec0)
+        np.conjugate(u, spec1)                  # u conj(u)
+        np.multiply(u, spec1, spec1)
+        self.fwd(spec, 1, pair)
+        np.multiply(pair, mask2, pair)
+        np.multiply(self.src_sym, plus, minus)
+        np.multiply(self.neg_src, plus, plus)
         if self.couple is not None:
-            pull = np.multiply(self.couple, nsum_hat, out=spec[0])
-            out[1] += pull
-            out[2] -= pull
+            np.multiply(self.couple, nsum_hat, spec0)
+            np.add(plus, spec0, plus)
+            np.subtract(minus, spec0, minus)
 
     def step(self, y):
-        """One Lawson RK4 step for y' = L y + N(y), in place; the stage
-        buffers are kept across steps."""
-        if not self.bufs or self.bufs[0].shape != y.shape:
-            self.bufs = tuple(np.empty_like(y) for _ in range(5))
-            self.spec, self.phys = (np.empty_like(y[:2]) for _ in range(2))
-            self.nsum_hat = np.empty_like(y[0])
-        k1, k2, k3, k4, s = self.bufs
-        half, sixth = self.half, self.sixth
-        self.nonlinear(y, k1)
-        np.multiply(half, k1, out=s)            # s = h (y + dt/2 k1)
-        s += y
-        np.multiply(self.h, s, out=s)
-        self.nonlinear(s, k2)
-        np.multiply(self.h, y, out=s)           # s = h y + dt/2 k2
-        np.multiply(half, k2, out=k4)
-        s += k4
-        self.nonlinear(s, k3)
-        np.multiply(self.e, y, out=y)           # y = e y;  s = y + dt h k3
-        np.multiply(self.dt_h, k3, out=k4)
-        np.add(y, k4, out=s)
-        self.nonlinear(s, k4)
+        """One Lawson RK4 step for y' = L y + N(y), in place; returns which
+        members stayed finite."""
+        if y is not self.y:
+            self._bind(y)
+        k14, k1, k2, k3, k4, s, fields, (out1, out2, out3, out4) = self.work
+        half, h, e = self.half, self.h, self.e
+        self.nonlinear(self.fields, out1)
+        np.multiply(half, k1, s)                # s = h (y + dt/2 k1)
+        np.add(s, y, s)
+        np.multiply(h, s, s)
+        self.nonlinear(fields, out2)
+        np.multiply(h, y, s)                    # s = h y + dt/2 k2
+        np.multiply(half, k2, k4)
+        np.add(s, k4, s)
+        self.nonlinear(fields, out3)
+        np.multiply(e, y, y)                    # y = e y;  s = y + dt h k3
+        np.multiply(self.dt_h, k3, k4)
+        np.add(y, k4, s)
+        self.nonlinear(fields, out4)
         # y += dt/6 (e k1 + 2 h (k2 + k3)) + dt/6 k4
-        k2 += k3
-        np.multiply(self.two_h, k2, out=k2)
-        np.multiply(self.e, k1, out=k1)
-        k1 += k2
-        np.multiply(sixth, k1, out=k1)
-        y += k1
-        np.multiply(sixth, k4, out=k4)
-        y += k4
+        np.add(k2, k3, k2)
+        np.multiply(self.two_h, k2, k2)
+        np.multiply(e, k1, k1)
+        np.add(k1, k2, k1)
+        np.multiply(self.sixth, k14, k14)
+        np.add(y, k1, y)
+        np.add(y, k4, y)
+        return np.isfinite(self.flat, self.finite).all(axis=(0, 2))
 
 
 def _spectral(data, cfg: SolverConfig) -> np.ndarray:
@@ -225,8 +241,7 @@ def _integrate(y: np.ndarray, lawson: _Lawson, observe, steps: int | None,
 
     for i in itertools.count():
         if i:
-            lawson.step(y)
-            finite = np.isfinite(y).all(axis=(0, 2))
+            finite = lawson.step(y)
             if not finite.all():
                 for j in alive[~finite]:
                     blowup[j] = i

@@ -462,6 +462,14 @@ class TestLifespanCommand:
     # L/mu is formed, whichever place it has in --mu
     ["lifespan", "--mu", "1,0", "--n", "64", "--t-final", "0.01"],
     ["lifespan", "--mu", "2,-1", "--n", "64", "--t-final", "0.01"],
+    # lipschitz takes p in (1, 2] like every other command, and some delta
+    # other than the zero sentinel, whose ratio is never measured
+    ["lipschitz", "--k", "0", "--l", "-1/2", "--p", "1", "--tier", "quick"],
+    ["lipschitz", "--k", "0", "--l", "-1/2", "--p", "3", "--tier", "quick"],
+    ["lipschitz", "--k", "0", "--l", "-1/2", "--p", "2", "--tier", "quick",
+     "--deltas", "0"],
+    ["lipschitz", "--k", "0", "--l", "-1/2", "--p", "2", "--tier", "quick",
+     "--deltas", "0,-0"],
 ])
 def test_bad_input_is_one_stderr_line_and_exit_2(capsys, argv):
     try:

@@ -36,6 +36,12 @@ class TestConfig:
     def test_steps(self):
         assert S.SolverConfig(dt=1e-3, t_final=0.5).steps == 500
 
+    @pytest.mark.parametrize("field", ["box", "dt", "t_final"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_nonfinite_box_dt_or_t_final(self, field, value):
+        with pytest.raises(S.SolverError, match="all finite"):
+            S.SolverConfig(**{field: value})
+
 
 class TestFirstOrderReduction:
     def test_zero_n1_collapses(self):
@@ -331,6 +337,79 @@ class TestLawsonCore:
             out = np.empty_like(a)
             assert ours(a, out) is out
             assert out.tobytes() == theirs(a).tobytes()
+
+
+OPERATORS = ("e", "h", "dt_h", "two_h", "src_sym", "neg_src", "couple", "mask", "half",
+             "sixth")
+
+
+def oracle_step(ops, y):
+    """One Lawson RK4 step of the spectral batch y, written out plainly with
+    np.fft.  Every product and sum takes its operands in the core's order,
+    so the core must agree bit for bit."""
+    e, h, dt_h, two_h, src_sym, neg_src, couple, mask, half, sixth = (
+        ops[name] for name in OPERATORS)
+
+    def nonlinear(y):
+        nsum_hat = y[1] + y[2]
+        u, nsum = np.fft.ifft(mask * y[0]), np.fft.ifft(mask * nsum_hat)
+        nu_hat = np.fft.fft(-0.5j * nsum * u) * mask
+        sq_hat = np.fft.fft(u * np.conjugate(u)) * mask
+        out = np.stack([nu_hat, neg_src * sq_hat, src_sym * sq_hat])
+        if couple is not None:
+            pull = couple * nsum_hat
+            out[1] += pull
+            out[2] -= pull
+        return out
+
+    k1 = nonlinear(y)
+    k2 = nonlinear(h * (half * k1 + y))
+    k3 = nonlinear(h * y + half * k2)
+    y = e * y
+    k4 = nonlinear(y + dt_h * k3)
+    return y + sixth * (e * k1 + two_h * (k2 + k3)) + sixth * k4
+
+
+ORACLE_CFG = S.SolverConfig(n=256, box=32.0, dt=1e-3)
+ORACLE_CASES = {  # configs, one amplitude per member, the step the second member leaves
+    "batch 1": ([ORACLE_CFG], [1.0], None),
+    "batch 20": ([ORACLE_CFG], [0.1 * (j + 1) for j in range(20)], None),
+    "lifespan batch, one retired": (  # one config per member
+        [replace(ORACLE_CFG, box=32.0 / mu, dt=1e-3 / (mu * mu)) for mu in (1.0, 2.0, 4.0)],
+        [1.0, 1.5, 2.0], 100),
+    "unregularized": ([replace(ORACLE_CFG, regularized=False)], [0.5, 1.0, 2.0], None),
+}
+
+
+class TestLawsonOracle:
+    """The core against oracle_step, state bytes after every step.  No
+    pinned payload digest covers the unregularized path."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_core_matches_the_oracle_bit_for_bit(self, case):
+        cfgs, amplitudes, retire_at = ORACLE_CASES[case]
+        members = cfgs if len(cfgs) > 1 else cfgs * len(amplitudes)
+        y = np.concatenate([S._spectral([smooth_data(c.n, c.box, a)], c)
+                            for c, a in zip(members, amplitudes)], axis=1)
+        core = S._Lawson(*cfgs)
+        ops = {name: getattr(core, name) for name in OPERATORS}
+        state, seen = [y.copy()], []
+
+        def observe(i, alive, view):
+            if i:
+                state[0] = oracle_step(ops, state[0])
+            assert view.transpose(1, 0, 2).tobytes() == state[0].tobytes()
+            seen.append(i)
+            if i == retire_at:
+                kept = alive != 1
+                state[0] = state[0].compress(kept, axis=1)
+                for name, op in ops.items():
+                    if op is not None and op.shape[-2] > 1:
+                        ops[name] = op.compress(kept, axis=-2)
+                return ~kept
+
+        assert S._integrate(y, core, observe, 200) == [None] * len(amplitudes)
+        assert seen == list(range(201))
 
 
 class TestLipschitzProbe:
