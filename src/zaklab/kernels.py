@@ -52,6 +52,9 @@ only the xi2^2 patch and bases sigma -+ xi^2 off the lattice are
 interpolated.  A smaller radius's nodes are a sub-slice of the largest
 radius's, so one integrand per sigma serves the whole ladder, and each
 radius's trapezoid is a sum over its own span of the same pair sums.
+Working memory is bounded by the table, each piece's amplitude (and the S
+divisor) and pair sums, and one block: every full-length array is
+computed BLOCK elements at a time, straight into the arrays kept.
 """
 
 from __future__ import annotations
@@ -78,6 +81,9 @@ FAMILIES = (FAMILY_SCHRODINGER_PRODUCT, FAMILY_WAVE_SOURCE)
 SIGNS = ("plus", "minus")
 
 TINY_FLOOR = 1e-14  # integrand values below this are treated as zero
+# elements per block of every full-length array a scan computes: the
+# table's far part, the node amplitudes and each integrand pass
+BLOCK = 2**15
 TAIL_RATE_ROUNDOFF = 1e-12  # xi2 tail rates up to this count as zero
 
 WORKERS_ENV = "ZAKLAB_WORKERS"
@@ -151,6 +157,12 @@ class KernelSpec:
 def _bracket_pow(x: np.ndarray, expo: float) -> np.ndarray:
     """<x>^expo with <x> = sqrt(1 + x^2)."""
     return (1.0 + x * x) ** (expo / 2.0)
+
+
+def _blocks(start: int, stop: int):
+    """(lo, hi) of consecutive blocks of at most BLOCK indices covering
+    [start, stop)."""
+    return ((lo, min(lo + BLOCK, stop)) for lo in range(start, stop, BLOCK))
 
 
 def _lattice_index(x: float, h: float) -> int | None:
@@ -311,18 +323,20 @@ def _conv_table(
                 "the complete sigma2 table needs both modulation exponents "
                 f"above 1 (got {e_inner}, {e_outer})"
             )
-        a = amin + h * np.arange(n)
-        i0 = int(np.searchsorted(a, -A_NEAR))
-        i1 = int(np.searchsorted(a, A_NEAR, side="right"))
+        # the arguments amin + h j are exact, so [i0, i1) are the j with
+        # |amin + h j| <= A_NEAR
+        i0 = min(max(math.ceil((-A_NEAR - amin) / h), 0), n)
+        i1 = min(max(math.floor((A_NEAR - amin) / h) + 1, 0), n)
         vals = np.empty(n)
-        vals[:i0] = _conv_far(a[:i0], e_inner, e_outer)
-        vals[i1:] = _conv_far(a[i1:], e_inner, e_outer)
+        for lo, hi in (*_blocks(0, i0), *_blocks(i1, n)):
+            vals[lo:hi] = _conv_far(amin + h * np.arange(lo, hi), e_inner, e_outer)
         if i1 > i0:
             from scipy import special
 
             S = h * math.ceil(2.0 * A_NEAR / h)
             E = e_inner + e_outer
-            z = a[i0:i1] / S
+            a = amin + h * np.arange(i0, i1)
+            z = a / S
             # int_S^inf s^(-e_in) (s -+ a)^(-e_out) ds in closed form;
             # <.> differs from |.| there by a relative O(A_NEAR^-2)
             tails = S ** (1.0 - E) / (E - 1.0) * (
@@ -330,7 +344,7 @@ def _conv_table(
                 + special.hyp2f1(e_outer, E - 1.0, E, -z)
             )
             vals[i0:i1] = (
-                _lattice_conv(e_inner, e_outer, S, h, a[i0], i1 - i0) + tails
+                _lattice_conv(e_inner, e_outer, S, h, a[0], i1 - i0) + tails
             )
     else:
         vals = _lattice_conv(e_inner, e_outer, R, h, amin, n)
@@ -362,27 +376,34 @@ class _Integrand:
     xi2 patch, read at xi2^2).  The integral of each ladder index is a sum
     over its own span (lo, hi) of the same pair sums; the floor and the
     pair sums act elementwise, so it is bitwise the one of that radius's
-    own nodes.  Buffers are reused for every base and are per instance,
-    so instances are not shared between threads."""
+    own nodes.  For the same reason the pair sums are computed block by
+    block in a scratch of BLOCK + 1 values, each block overlapping the
+    next by one node, and only the pair sums are kept at full length.
+    Buffers are reused for every base and are per instance, so instances
+    are not shared between threads."""
 
     def __init__(self, table: _ConvTable, amp, spans, first=None, divisor=None,
                  args=None):
         self.table, self.amp, self.spans = table, amp, spans
         self.first, self.divisor, self.args = first, divisor, args
-        self.buf = np.empty(len(amp))
+        self.buf = np.empty(min(len(amp), BLOCK + 1))
         self.pair = np.empty(len(amp) - 1)
 
     def integrals(self, base: float):
         """(ladder index, integral) over the ladder at one base."""
-        if self.args is None:
-            vals = self.table.at(base, self.first, len(self.buf))
-        else:
-            vals = self.table(base + self.args)
-        buf = np.multiply(self.amp, vals, out=self.buf)
-        if self.divisor is not None:
-            np.divide(buf, self.divisor, out=buf)
-        _floor_tiny(buf)
-        pair = np.add(buf[1:], buf[:-1], out=self.pair)
+        pair = self.pair
+        for lo, hi in _blocks(0, len(pair)):  # pair sums lo .. hi - 1
+            if self.args is None:
+                vals = self.table.at(base, self.first + lo, hi + 1 - lo)
+            else:
+                vals = self.table(base + self.args[lo : hi + 1])
+            buf = np.multiply(self.amp[lo : hi + 1], vals, out=self.buf[: hi + 1 - lo])
+            if self.divisor is not None:
+                np.divide(buf, self.divisor[lo : hi + 1], out=buf)
+            _floor_tiny(buf)
+            np.add(buf[1:], buf[:-1], out=pair[lo:hi])
+        # each radius sums its whole span at once: a sum's rounding depends
+        # on how it is split
         for i, (lo, hi) in self.spans.items():
             yield i, _trapezoid(pair[lo:hi], self.table.h)
 
@@ -499,27 +520,38 @@ def _pieces(spec: KernelSpec, xi: float, sets: dict, h: float,
     in [-2|xi|R, 2|xi|R]; kernel_mass divides by 2|xi|."""
     p = spec.p
 
-    def nodes(name: str):
+    def blockwise(name: str, rows: int, at_nodes):
+        """The rows of at_nodes(nodes) over the node set name, one block of
+        nodes at a time, then its first and spans."""
         first, n, spans = sets[name]
-        return h * (first + np.arange(n)), first, spans
+        out = np.empty((rows, n))
+        for lo, hi in _blocks(0, n):
+            out[:, lo:hi] = at_nodes(h * (first + np.arange(lo, hi)))
+        return *out, first, spans
 
     if spec.family == FAMILY_WAVE_SOURCE:
-        u, first, spans = nodes("u")
-        xi2 = u / (2.0 * xi)
-        amp = _bracket_pow(xi + xi2, -spec.k * p) * _bracket_pow(xi2, -spec.k * p)
+        def wave_amp(u):
+            xi2 = u / (2.0 * xi)
+            return _bracket_pow(xi + xi2, -spec.k * p) * _bracket_pow(xi2, -spec.k * p)
+
+        amp, first, spans = blockwise("u", 1, wave_amp)
         return [_Integrand(table, amp, spans, first=first)]
-    xi2, _, spans = nodes("patch")
+    first, n, spans = sets["patch"]  # at most 2 / h + 1 nodes
+    xi2 = h * (first + np.arange(n))
     amp_in = _bracket_pow(xi - xi2, -spec.l * p) * _bracket_pow(xi2, -spec.k * p)
     pieces = [_Integrand(table, amp_in, spans, args=xi2 * xi2)]
     if "y" in sets:
-        y, first, spans = nodes("y")
-        root = np.sqrt(y)
-        amp_out = (
-            _bracket_pow(xi - root, -spec.l * p)
-            + _bracket_pow(xi + root, -spec.l * p)
-        ) * _bracket_pow(root, -spec.k * p)
+        def outer_amp_and_divisor(y):
+            root = np.sqrt(y)
+            amp_out = (
+                _bracket_pow(xi - root, -spec.l * p)
+                + _bracket_pow(xi + root, -spec.l * p)
+            ) * _bracket_pow(root, -spec.k * p)
+            return amp_out, 2.0 * root
+
+        amp_out, divisor, first, spans = blockwise("y", 2, outer_amp_and_divisor)
         pieces.append(_Integrand(table, amp_out, spans, first=first,
-                                 divisor=2.0 * root))
+                                 divisor=divisor))
     return pieces
 
 

@@ -335,8 +335,14 @@ def lipschitz_probe(
     shrinks is the observable; delta = 0 rows are reported as exact-match
     sentinels rather than 0/0.  Every seed's base and perturbed data are
     integrated as one batch; a difference is sampled while both of its
-    trajectories are finite.
+    trajectories are finite.  Raises SolverError unless 1 < p <= 2 and
+    some delta is nonzero.
     """
+    if not (1.0 < p <= 2.0):
+        raise SolverError(f"p must satisfy 1 < p <= 2 (got {p})")
+    if not any(deltas):
+        raise SolverError("deltas need a nonzero delta: 0 is only the exact-match sentinel")
+
     def rough(s: float, seed: int, real: bool) -> np.ndarray:  # unit (s, p) norm
         f = unit_rough_data(RoughDataSpec(s, p, cfg.n, seed, box=cfg.box, hermitian=real))
         return f.to_samples().real if real else f.to_samples()

@@ -12,7 +12,8 @@ spec.loader.exec_module(bench_pairs)
 
 
 def run(wall, rss, attempted=10, failed=0):
-    return {"attempted": attempted, "failed": failed, "metrics": {
+    return {"attempted": attempted, "failed": failed, "cycles": 2, "failures": [],
+            "metrics": {
         "wall_s": {"value": wall, "unit": "s"},
         "peak_rss_mb": {"value": rss, "unit": "MB"},
     }}
@@ -105,7 +106,8 @@ def test_runs_last_as_long_as_the_changes_benchmark_fixes(tmp_path, monkeypatch)
 
 
 STUB_RUN = """import json, sys
-print(json.dumps({"details": {"absent": %r}}))
+print(json.dumps({"details": {"absent": %r, "cycles": {"untraced": 3, "traced": 0},
+                              "failures": []}}))
 print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
     "wall_s": {"value": 1.0, "unit": "s"}}}))
 """
@@ -222,3 +224,33 @@ def test_each_checkouts_tier1_result_is_recorded_once_per_file(tmp_path, monkeyp
     monkeypatch.setattr(bench_pairs, "tier1", lambda root: pytest.fail("tier-1 run twice"))
     assert bench_pairs.main(argv + ["--trace", "1"]) == 0
     assert bench_pairs.json.loads(out.read_text())["parent"]["tier1"] == parent
+
+
+# the change's runs fail their second job from the fourth cycle on, as a
+# run fast enough to reach an oracle's cell does
+CYCLE_RUN = """import json, os
+fast = os.path.basename(os.getcwd()) == "change"
+cycles = 5 if fast else 3
+failures = [f"scan cycle {c}: verdict" for c in range(4, cycles + 1)] if fast else []
+print(json.dumps({"details": {"absent": [], "cycles": {"untraced": cycles, "traced": 0},
+                              "failures": failures}}))
+print(json.dumps({"correct": not failures, "attempted": 8 * cycles,
+                  "failed": len(failures), "metrics": {"wall_s": {"value": 1.0}}}))
+"""
+
+
+def test_each_runs_cycles_and_first_failure_messages_are_recorded(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "tier1", lambda root: {})
+    monkeypatch.setattr(bench_pairs, "FAILURE_MESSAGES", 1)
+    roots = stub_checkouts(tmp_path, CYCLE_RUN)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(roots["parent"]), "--change",
+                             str(roots["change"]), "--workload", "certify", "--seed",
+                             "1", "--pairs", "2", "--out", str(out)]) == 0
+    entry = bench_pairs.json.loads(out.read_text())["runs"]["certify/1"]
+    assert entry["cycles"] == {"parent": [3, 3], "change": [5, 5]}
+    assert entry["failed"] == {"parent": 0, "change": 4}
+    # a run that failed no job has no entry; the others keep their first
+    # messages, keyed by pair
+    assert entry["failures"] == {"parent": {}, "change": {
+        "1": ["scan cycle 4: verdict"], "2": ["scan cycle 4: verdict"]}}

@@ -660,6 +660,50 @@ class TestKernelSup:
         assert [n for n in lengths if n > patch] == []
         assert (len(lengths) > 0) == (family == "S")
 
+    @pytest.mark.parametrize("R,h", [(48.0, 0.5), (6.0, 0.25)])
+    @pytest.mark.parametrize("family,violate", [("S", False), ("W", False),
+                                                ("S", True), ("W", True)])
+    def test_block_length_changes_no_value(self, family, violate, R, h,
+                                           monkeypatch):
+        # no node set of these ladders reaches a block of the default
+        # length; blocks of 7 nodes put boundaries inside every node set,
+        # pair-sum pass and far part of the table
+        spec = self.mid_window_spec(family)
+        if violate:
+            spec = replace(spec, l=-0.75 if family == "S" else 0.0)
+        whole = K.kernel_sup(spec, R, resolution=h)
+        monkeypatch.setattr(K, "BLOCK", 7)
+        assert K.kernel_sup(spec, R, resolution=h) == whole
+
+    def test_block_length_changes_no_table_value(self, monkeypatch):
+        # a span of 16001 entries: a near part of 4097 and two far parts of
+        # several blocks each, at either block length
+        whole = K._conv_table(1.2, 1.3, math.inf, 0.25, -2000.0, 2000.0)
+        monkeypatch.setattr(K, "BLOCK", 1000)
+        blocked = K._conv_table(1.2, 1.3, math.inf, 0.25, -2000.0, 2000.0)
+        assert blocked.a0 == whole.a0
+        assert blocked.values.tobytes() == whole.values.tobytes()
+
+    def test_working_memory_is_the_table_plus_the_kept_arrays(self):
+        # the standard tier's W scan: the table, then per outer xi the
+        # amplitude and the pair sums of up to 640001 u-nodes, beside
+        # block-sized scratch; whole-length temporaries of the nodes,
+        # amplitudes or integrand would cross the bound
+        import tracemalloc
+
+        spec, R, h = self.mid_window_spec("W"), 200.0, 0.25
+        table = K._complete_table(spec, K._outer_points("W", R, R), R, h)
+        _, n, _ = K._node_sets("W", R, (R,), h)["u"]
+        bound = table.values.nbytes + 3 * 8 * n + 4 * 8 * K.BLOCK
+        del table
+        tracemalloc.start()
+        try:
+            K.kernel_sup(spec, R, resolution=h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
+
     def test_worker_count_clamped_to_usable_cpus(self, monkeypatch):
         monkeypatch.setenv(K.WORKERS_ENV, "100000")
         assert K.worker_count() == len(os.sched_getaffinity(0))

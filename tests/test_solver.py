@@ -440,6 +440,20 @@ class TestLipschitzProbe:
             assert batch.ratios[seed] == solo.ratios[seed]
             assert batch.stability[seed] == solo.stability[seed]
 
+    @pytest.mark.parametrize("p,deltas", [
+        (1.0, (1e-3,)),  # the dual exponent p / (p - 1) of the rough data
+        (0.5, (1e-3,)),
+        (2.5, (1e-3,)),
+        (float("nan"), (1e-3,)),
+        (2.0, (0.0,)),  # only the exact-match sentinel: no ratio to measure
+        (2.0, (0.0, -0.0)),
+        (2.0, ()),
+    ])
+    def test_rejects_p_outside_the_range_and_no_nonzero_delta(self, p, deltas):
+        with pytest.raises(S.SolverError):
+            S.lipschitz_probe(0.0, -0.5, p, amplitude=1.0, deltas=deltas,
+                              seeds=(1,), cfg=self.CFG)
+
     def test_rough_point_bounded(self):
         rep = S.lipschitz_probe(
             -1 / 12 + 0.01, -7 / 12, 12 / 7, amplitude=1.0,

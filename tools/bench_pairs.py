@@ -19,9 +19,11 @@ Each end-to-end metric with a bound there also gets a `bound_verdict`:
 the bound (relative to the parent's median), "unresolved" when the
 parent's quartile spread relative to its median exceeds the bound unless
 every change run beats every parent run, and "within" otherwise.
-It also gives the jobs attempted and failed on each side, for a traced
-entry each side's `absent` list (the traced names its package no longer
-has, from the runs' first line), and, at the top, each checkout's git SHA,
+It also gives the jobs attempted and failed on each side, each run's
+untraced cycle count, the first FAILURE_MESSAGES messages of each run
+that failed a job (keyed by its pair number), for a traced entry each
+side's `absent` list (the traced names its package no longer has), all
+three from the runs' first line, and, at the top, each checkout's git SHA,
 `wc -l src/zaklab/*.py` and tier-1 result: the tests passed, failed
 (errors included) and the seconds taken by one `python -m pytest -q
 --continue-on-collection-errors` in the checkout with PYTHONPATH=src, run
@@ -52,6 +54,7 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+FAILURE_MESSAGES = 3  # of a run that failed a job, the messages kept
 
 
 def checkout_info(root: Path) -> dict:
@@ -142,8 +145,9 @@ def result_line(line: str) -> dict:
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int,
              required: tuple[str, ...] = ()) -> dict:
     """One zakbench run in `root`; returns its last output line, with the
-    `absent` list of its first line's details added.  The line must hold
-    every metric named in required."""
+    `absent` list, the untraced cycle count and the first failure
+    messages of its first line's details added.  The line must hold every
+    metric named in required."""
     env = {key: val for key, val in os.environ.items() if key != "PYTHONPATH"}
     cmd = [sys.executable, "zakbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
@@ -154,15 +158,18 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int,
                  f"{proc.stderr.strip()[-500:]}")
     try:
         result = result_line(lines[-1])
-        absent = json.loads(lines[0], parse_constant=_no_constant)["details"]["absent"]
+        details = json.loads(lines[0], parse_constant=_no_constant)["details"]
+        found = {"absent": details["absent"],
+                 "cycles": details["cycles"]["untraced"],
+                 "failures": details["failures"][:FAILURE_MESSAGES] if result["failed"] else []}
     except (ValueError, TypeError, KeyError) as exc:
         sys.exit(f"bench_pairs: {' '.join(cmd)} in {root} gave no result ({exc}); "
                  f"last line: {lines[-1][:200]!r}")
     missing = [name for name in required if name not in result["metrics"]]
     if missing:
         sys.exit(f"bench_pairs: {' '.join(cmd)} in {root} lacks the per-layer "
-                 f"metrics {', '.join(missing)} (absent: {absent})")
-    return {**result, "absent": absent}
+                 f"metrics {', '.join(missing)} (absent: {found['absent']})")
+    return {**result, **found}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -263,6 +270,10 @@ def main(argv=None) -> int:
         "pairs": args.pairs,
         "first_in_pair": "parent on odd pairs, change on even pairs",
         **summarise(runs, directions(spec), bounds(spec)),
+        "cycles": {side: [run["cycles"] for run in runs[side]] for side in SIDES},
+        "failures": {side: {str(pair): run["failures"]
+                            for pair, run in enumerate(runs[side], 1) if run["failures"]}
+                     for side in SIDES},
     }
     if args.trace:
         report["runs"][key]["absent"] = {
