@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -689,8 +690,6 @@ class TestKernelSup:
         # amplitude and the pair sums of up to 640001 u-nodes, beside
         # block-sized scratch; whole-length temporaries of the nodes,
         # amplitudes or integrand would cross the bound
-        import tracemalloc
-
         spec, R, h = self.mid_window_spec("W"), 200.0, 0.25
         table = K._complete_table(spec, K._outer_points("W", R, R), R, h)
         _, n, _ = K._node_sets("W", R, (R,), h)["u"]
