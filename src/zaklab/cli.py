@@ -15,7 +15,9 @@ variable for data-parallel outer grids.
 Each command returns its exit code, configuration, payload, text lines
 and wall time.  main() alone builds the report, appends it to a JSON-lines
 file (--jsonl-out), and only then prints it (--json) or the text lines.
-Series data is emitted as plain CSV (--csv-out).
+A full stdout ends in one error line and exit 2; a closed one ends
+silently, with EXIT_BROKEN_PIPE.  Series data is emitted as plain CSV
+(--csv-out).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -31,6 +34,10 @@ from pathlib import Path
 
 from . import ZaklabError, __version__, params
 from .reports import make_report, timer, write_csv, write_jsonl
+
+# the status a shell reports for a process that SIGPIPE ended, which is how a
+# POSIX tool ends, silently, once the reader of its output has gone
+EXIT_BROKEN_PIPE = 128 + 13
 
 
 def _load_numeric_layers() -> None:
@@ -651,7 +658,18 @@ def main(argv=None) -> int:
     except (ZaklabError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
-    print(report.to_json() if args.json else "\n".join(lines))
+    try:
+        print(report.to_json() if args.json else "\n".join(lines), flush=True)
+    except OSError as exc:
+        # what is left in the buffer goes nowhere, so that the flush at exit
+        # cannot fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_BROKEN_PIPE
+        print(f"{parser.prog}: error: stdout: {exc.strerror}", file=sys.stderr)
+        return 2
     return code
 
 

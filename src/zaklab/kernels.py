@@ -72,9 +72,6 @@ import numpy as np
 from . import ZaklabError
 from .grids import GridFunction, wavenumbers
 
-# scipy is imported inside the three functions that call it: only
-# kernel-scan reaches them, so every other command starts without it
-
 FAMILY_SCHRODINGER_PRODUCT = "S"
 FAMILY_WAVE_SOURCE = "W"
 FAMILIES = (FAMILY_SCHRODINGER_PRODUCT, FAMILY_WAVE_SOURCE)
@@ -234,17 +231,29 @@ def _bracket_integral(e: float) -> float:
     return math.sqrt(math.pi) * math.gamma((e - 1.0) / 2.0) / math.gamma(e / 2.0)
 
 
+def _beta(x: float, y: float) -> float:
+    """B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y): inf at a pole of Gamma(x)
+    or Gamma(y), and 0 at a pole of Gamma(x + y) alone, where 1/Gamma
+    vanishes."""
+    try:
+        num = math.gamma(x) * math.gamma(y)
+    except ValueError:
+        return math.inf
+    try:
+        return num / math.gamma(x + y)
+    except ValueError:
+        return 0.0
+
+
 def _homogeneous_coefficient(e1: float, e2: float) -> float:
     """F = finite part of int |t|^(-e1) |1-t|^(-e2) dt over the real line,
     summed over t < 0, 0 < t < 1 and t > 1 as three Beta functions.  An
     exponent equal to 2 is a removable pole of the sum, taken as the mean
     of its neighbours."""
-    from scipy import special
-
     terms = (
-        special.beta(1.0 - e1, 1.0 - e2),
-        special.beta(1.0 - e1, e1 + e2 - 1.0),
-        special.beta(1.0 - e2, e1 + e2 - 1.0),
+        _beta(1.0 - e1, 1.0 - e2),
+        _beta(1.0 - e1, e1 + e2 - 1.0),
+        _beta(1.0 - e2, e1 + e2 - 1.0),
     )
     if all(math.isfinite(t) for t in terms):
         return float(sum(terms))
@@ -283,13 +292,53 @@ def _conv_far(a: np.ndarray, e1: float, e2: float) -> np.ndarray:
     return out
 
 
+HYP_TERMS = 64  # series terms of _hyp2f1_even, enough for |z| <= 1/2
+
+
+def _hyp2f1_even(a: float, b: float, z: np.ndarray) -> np.ndarray:
+    """2F1(a, b; b + 1; z) + 2F1(a, b; b + 1; -z) for |z| <= 1/2, 0 < a <= 2
+    and b > 0.
+
+    2F1(a, b; b + 1; z) is the sum over k of (a)_k / k! * b / (b + k) * z^k,
+    so the sum at z and -z is twice its even terms.  There (a)_k / k! <=
+    (2)_k / k! = k + 1 and b / (b + k) <= 1, so every term is positive, the
+    first is 1, and the terms from k = K on sum to at most
+    sum_(k >= K) (k + 1) 2^-k = (K + 2) 2^(1-K), below 2^-56 for
+    K = HYP_TERMS.  The number of terms is fixed, not chosen from the data,
+    so that each value depends only on its own z.  Horner's rule in z^2 adds
+    the smallest terms first."""
+    coeffs = []
+    c = 1.0  # (a)_k / k!
+    for k in range(HYP_TERMS):
+        if k % 2 == 0:
+            coeffs.append(2.0 * c * b / (b + k))
+        c *= (a + k) / (k + 1)
+    w = z * z
+    out = np.zeros_like(w)
+    for coeff in reversed(coeffs):
+        out *= w
+        out += coeff
+    return out
+
+
+def _next_fast_len(n: int) -> int:
+    """The smallest 2^i 3^j 5^k >= n, for n >= 1: the sizes a real FFT
+    transforms fastest, as scipy.fft.next_fast_len(n, real=True) gives."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def _lattice_conv(
     e_inner: float, e_outer: float, S: float, h: float, a_lo: float, n: int
 ) -> np.ndarray:
     """Trapezoid sums over s in [-S, S] (S a multiple of h) of
     <s>^(-e_inner) <a-s>^(-e_outer), at a = a_lo + h j for j < n."""
-    from scipy import fft
-
     m = int(round(2.0 * S / h)) + 1
     s = -S + h * np.arange(m)
     fw = _bracket_pow(s, -e_inner)
@@ -298,11 +347,11 @@ def _lattice_conv(
     fw *= h
     q = (a_lo - S) + h * np.arange(n + m - 1)
     # the valid part of the full linear convolution, computed as
-    # scipy.signal.fftconvolve(..., mode="valid") does it, without
-    # importing scipy.signal (which loads scipy.stats)
-    size = fft.next_fast_len(n + 2 * m - 2, True)
-    full = fft.irfft(fft.rfft(_bracket_pow(q, -e_outer), size)
-                     * fft.rfft(fw, size), size)
+    # scipy.signal.fftconvolve(..., mode="valid") does it: real transforms
+    # at the same 5-smooth size, which give its bytes
+    size = _next_fast_len(n + 2 * m - 2)
+    full = np.fft.irfft(np.fft.rfft(_bracket_pow(q, -e_outer), size)
+                        * np.fft.rfft(fw, size), size)
     return full[m - 1 : m - 1 + n].copy()
 
 
@@ -331,18 +380,13 @@ def _conv_table(
         for lo, hi in (*_blocks(0, i0), *_blocks(i1, n)):
             vals[lo:hi] = _conv_far(amin + h * np.arange(lo, hi), e_inner, e_outer)
         if i1 > i0:
-            from scipy import special
-
             S = h * math.ceil(2.0 * A_NEAR / h)
             E = e_inner + e_outer
             a = amin + h * np.arange(i0, i1)
             z = a / S
             # int_S^inf s^(-e_in) (s -+ a)^(-e_out) ds in closed form;
             # <.> differs from |.| there by a relative O(A_NEAR^-2)
-            tails = S ** (1.0 - E) / (E - 1.0) * (
-                special.hyp2f1(e_outer, E - 1.0, E, z)
-                + special.hyp2f1(e_outer, E - 1.0, E, -z)
-            )
+            tails = S ** (1.0 - E) / (E - 1.0) * _hyp2f1_even(e_outer, E - 1.0, z)
             vals[i0:i1] = (
                 _lattice_conv(e_inner, e_outer, S, h, a[0], i1 - i0) + tails
             )

@@ -234,6 +234,68 @@ class TestCompleteTable:
         got = K._lattice_conv(1.3, 1.7, S, h, a_lo, n)
         assert got.tobytes() == want.tobytes()
 
+    def test_next_fast_len_is_scipys(self):
+        # every size up to 10^4, the sizes the standard-tier scans transform
+        # (10241, 17161, 20481) and a few larger ones
+        from scipy.fft import next_fast_len
+
+        for n in (*range(1, 10**4 + 1), 10241, 16875, 17161, 20481, 10**5,
+                  2**20 + 1, 10**6):
+            assert K._next_fast_len(n) == next_fast_len(n, True), n
+
+    # exponents in (1, 2], on a grid and next to 2, where 1 - e reaches the
+    # pole of Gamma at -1
+    POLE_EXPONENTS = (*np.linspace(1.025, 2.0, 40).tolist(), 1.0 + 1e-9,
+                      2.0 - 1e-7, 2.0 - 1e-9, 2.0 - 1e-12)
+
+    def test_beta_against_scipy(self):
+        # the three Beta terms of _homogeneous_coefficient: within 4e-15
+        # relative (1.2e-15 measured), equal where scipy gives 0 (a pole of
+        # Gamma(x + y) alone, at e1 + e2 = 3), non-finite exactly where
+        # scipy is (an exponent of 2)
+        from scipy.special import beta
+
+        for e1 in self.POLE_EXPONENTS:
+            for e2 in self.POLE_EXPONENTS:
+                for x, y in ((1 - e1, 1 - e2), (1 - e1, e1 + e2 - 1),
+                             (1 - e2, e1 + e2 - 1)):
+                    got, want = K._beta(x, y), float(beta(x, y))
+                    assert math.isfinite(got) == math.isfinite(want), (x, y)
+                    if math.isfinite(want):
+                        assert got == pytest.approx(want, rel=4e-15, abs=0.0), (x, y)
+
+    @pytest.mark.parametrize("a", [1.05, 1.2643, 1.5, 1.75, 2.0])
+    def test_hypergeometric_tails_against_scipy(self, a):
+        # 2F1(a, b; b+1; z) + 2F1(a, b; b+1; -z) from its even terms, within
+        # 4e-15 relative (1.2e-15 measured) on |z| <= 1/2, ends included
+        from scipy.special import hyp2f1
+
+        z = np.concatenate([np.linspace(-0.5, 0.5, 1001), [1e-300, 0.0]])
+        for b in (1.05, 1.5, 2.0, 2.5, 3.0):
+            want = hyp2f1(a, b, b + 1, z) + hyp2f1(a, b, b + 1, -z)
+            np.testing.assert_allclose(K._hyp2f1_even(a, b, z), want,
+                                       rtol=4e-15, atol=0.0)
+
+    def test_hypergeometric_tails_depend_only_on_their_argument(self):
+        z = np.linspace(-0.5, 0.5, 4097)
+        whole = K._hyp2f1_even(1.3, 1.9, z)
+        part = K._hyp2f1_even(1.3, 1.9, z[1000:1200][::-1].copy())
+        assert part.tobytes() == whole[1000:1200][::-1].tobytes()
+
+    def test_tables_over_two_spans_agree_bitwise_where_they_overlap(self):
+        # both spans hold the whole window |a| <= A_NEAR, where the values
+        # are a lattice convolution plus the hypergeometric tails, and
+        # run on into the closed form on either side of it
+        h = 0.25
+        one = K._conv_table(1.25, 1.5, math.inf, h, -2000.0, 2000.0)
+        two = K._conv_table(1.25, 1.5, math.inf, h, -600.0, 3000.0)
+        lo, hi = max(one.a0, two.a0), min(one.a0 + h * (len(one.values) - 1),
+                                          two.a0 + h * (len(two.values) - 1))
+        n = int((hi - lo) / h) + 1
+        assert n > 4 * K.A_NEAR / h
+        i, j = int((lo - one.a0) / h), int((lo - two.a0) / h)
+        assert one.values[i:i + n].tobytes() == two.values[j:j + n].tobytes()
+
 
 class TestCompletedMass:
     def test_optimal_wave_source_completion_is_flat_in_radius(self):
