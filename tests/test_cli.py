@@ -600,6 +600,15 @@ class TestConfigFile:
         assert docs[0]["payload"] == docs[1]["payload"]
 
 
+def test_importing_the_cli_leaves_scipy_signal_out():
+    # scipy.signal loads scipy.stats, about 1 s of every command's start-up
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = "import sys, zaklab.cli; sys.exit('scipy.signal' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0
+
+
 # Run one command line in a fresh interpreter and print its exit code and
 # the scipy and numeric modules it loaded, on import and after the command.
 NUMERIC_LAYERS = ["numpy", "zaklab.grids", "zaklab.kernels", "zaklab.solver"]
@@ -634,6 +643,20 @@ def _footprint(argv: tuple) -> str:
 def footprint(argv):
     """The probe's record for argv; each command line runs once per session."""
     return json.loads(_footprint(tuple(argv)))
+
+
+@pytest.mark.parametrize("argv, loads_scipy", [
+    (["--version"], False),
+    (["admissible", *CORNER, "--b", "11/20", "--b1", "11/20"], False),
+    (["trilinear-test", "--trials", "1", "--grid", "8"], False),
+    (["simulate", "--n", "64", "--t-final", "0.01"], False),
+])
+def test_only_kernel_scan_loads_scipy(argv, loads_scipy):
+    # commands that never loaded scipy; kernel-scan, which loaded
+    # scipy.special until its Beta function moved to math.gamma, is the
+    # kernel-scan row of test_no_command_loads_scipy
+    probe = footprint(argv)
+    assert (probe["code"], bool(probe["scipy"])) == (0, loads_scipy)
 
 
 FOOTPRINT_CASES = [
